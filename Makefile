@@ -55,8 +55,8 @@ lint:
 bench:
 	$(PY) -m pytest benchmarks/bench_walk_engine.py -q -s
 
-## Train-step benchmark (asserts the >=3x fused-pipeline speedup and the
-## fused-vs-baseline loss-trajectory match).
+## Train-step benchmark (asserts the >=1.5x fused-kernel speedup and the
+## fused-vs-reference loss-trajectory match).
 bench-train:
 	$(PY) -m pytest benchmarks/bench_train_step.py -q -s
 
@@ -77,7 +77,7 @@ bench-streaming:
 bench-scale:
 	$(PY) -m pytest benchmarks/bench_scale.py -q -s -m scale
 
-## Core-scaling benchmark: sharded walks and sync data-parallel training at
+## Core-scaling benchmark: sharded walks and pooled sharded training at
 ## 1/2/4/8 workers over one shared-memory graph, plus the candidate_cap hub
 ## delta and the sync bitwise-invariance assertion.  Writes
 ## benchmarks/results/parallel.txt.  Excluded from tier-1 (scale marker).

@@ -8,7 +8,7 @@ graph, written to ``benchmarks/results/parallel.txt``:
    reassembled batches are asserted bitwise-identical across worker counts
    before any timing is trusted.
 2. **train scaling** — sync data-parallel ``EHNA.fit`` steps/s at the same
-   worker ladder, with the ``num_workers=0`` inline run as the bitwise
+   worker ladder, with the ``num_workers=1`` inline run as the bitwise
    comparator for the pooled loss trajectories.
 3. **candidate_cap delta** — uncapped vs windowed ``_temporal_raw`` gather
    on a hub-heavy graph (the satellite optimization this PR ships).
@@ -120,7 +120,7 @@ def test_core_scaling_curve(save_result):
 
     # -- 2. sync training scaling (+ trajectory invariance gate) -------
     train_graph = make_graph(200, 2_000, seed=3)
-    inline = EHNA(seed=7, num_workers=0, **TRAIN_CFG)
+    inline = EHNA(seed=7, num_workers=1, **TRAIN_CFG)
     t0 = _time.perf_counter()
     inline.fit(train_graph)
     inline_s = _time.perf_counter() - t0

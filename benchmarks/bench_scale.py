@@ -9,7 +9,7 @@ End-to-end at 1M events / 100k nodes, all through the storage seam:
    the mapped columns (int32 narrowed indices at this size).
 3. **walk engine** — one ``temporal_walk_batch`` lockstep launch, thousands
    of walks against the 1M-event history.
-4. **train step** — fused EHNA ``_train_batch`` steps on the memmap-backed
+4. **train step** — fused EHNA ``_train_step`` steps on the memmap-backed
    graph (runtime build + a few optimizer steps, not a full epoch).
 
 Peak RSS is sampled via ``resource.getrusage`` after each stage, so the
@@ -28,7 +28,7 @@ import time as _time
 import numpy as np
 import pytest
 
-from repro.core import EHNA
+from repro.core import EHNA, FlatParams
 from repro.datasets.generators import generate_scaled_events
 from repro.graph.temporal_graph import TemporalGraph
 from repro.storage import MemmapStorage
@@ -96,13 +96,14 @@ def test_million_event_pipeline(save_result, tmp_path):
     assert batch.ids.shape[0] == total_walks
     record("walk engine", f"{total_walks / walks_s:.0f} walks/s", walks_s)
 
-    optimizers = model._make_optimizers()
+    flat = FlatParams(model._named_parameters())
+    optimizer = model._make_optimizer(flat)
     model.aggregator.train()
     losses = []
     t0 = _time.perf_counter()
     for step in range(TRAIN_STEPS):
         edge_ids = rng.integers(0, NUM_EVENTS, size=TRAIN_BATCH)
-        losses.append(model._train_batch(np.sort(edge_ids), optimizers))
+        losses.append(model._train_step(np.sort(edge_ids), flat, optimizer))
     train_s = (_time.perf_counter() - t0) / TRAIN_STEPS
     assert all(np.isfinite(losses))
     record("train step", f"batch={TRAIN_BATCH}, per-step mean", train_s)

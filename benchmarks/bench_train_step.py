@@ -1,21 +1,22 @@
-"""Train-step benchmark: the fused aggregation pipeline vs the pre-PR step.
+"""Train-step benchmark: the fused aggregation kernels vs the reference ones.
 
 Times full ``EHNA.fit()`` runs on a Table-1 synthetic graph (the DBLP
 stand-in family, laptop scale) and reports per-batch step times for
 
-- ``baseline``: the pre-fusion pipeline — three grouped aggregations per
-  batch (positives, x-negatives, y-negatives), ``Walk``-object batching
-  through ``batch_walks`` and the stepwise per-timestep LSTM graph
-  (``one_pass=False, fused_kernels=False``);
-- ``fused``: the default pipeline — one grouped aggregation per batch over
-  an array-native :class:`WalkBatch` and the single-node BPTT LSTM kernel;
-- ``fused+dedup``: additionally collapsing repeated ``(node, anchor)``
-  aggregations inside each batch (``dedup_aggregations=True``).
+- ``baseline``: the reference kernels — ``Walk``-object batching through
+  ``batch_walks`` and the stepwise per-timestep LSTM graph
+  (``fused_kernels=False``);
+- ``fused``: the default pipeline — an array-native :class:`WalkBatch` and
+  the single-node BPTT LSTM kernel.
 
-The fused pipeline is required to be at least 3x faster per batch, and —
-because the kernel swap is numerically equivalent while the one-pass
-grouping only re-buckets batch-norm statistics — the fused loss trajectory
-must track the baseline's within a few percent.
+Both run the one training step (positives and every negative group in one
+grouped aggregation), and the kernel swap is numerically equivalent, so the
+two loss trajectories must agree to float noise.  The fused kernels are
+required to be at least 1.5x faster per batch.
+
+The table also carries, as history, the numbers recorded before the
+one-pass step became the only step: the three-call pre-fusion step and the
+``(node, anchor)`` dedup option, neither of which exists any more.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_train_step.py -q -s
 """
@@ -36,8 +37,16 @@ CONFIG = dict(
 )
 REPEATS = 3
 
-MIN_SPEEDUP = 3.0
-LOSS_RTOL = 0.15  # fused vs baseline mean epoch loss (statistical, see above)
+MIN_SPEEDUP = 1.5  # measured ~2.1x on a shared 2-core x86 container
+
+#: The table as recorded with this config before the one-pass step became
+#: the only step.  The code it timed is gone, so it is kept as history.
+HISTORICAL = """\
+Historical, no longer runnable:
+pipeline            fit()   per batch   speedup
+baseline            2.12s      84.9ms     1.00x   pre-fusion: three aggregations per batch, reference kernels
+fused               0.64s      25.7ms     3.31x
+fused+dedup         0.62s      25.0ms     3.40x   repeated (node, anchor) rows aggregated once"""
 
 
 def _graph():
@@ -63,22 +72,17 @@ def _table(rows, num_batches) -> str:
             f"{name:<14} {total:>9.2f}s {total / num_batches * 1e3:>9.1f}ms "
             f"{base / total:>8.2f}x"
         )
-    return "\n".join(lines)
+    return "\n".join([*lines, "", HISTORICAL])
 
 
 def test_train_step_speedup(save_result):
     graph = _graph()
     num_batches = -(-graph.num_edges // CONFIG["batch_size"]) * CONFIG["epochs"]
 
-    t_base = _best_fit_time(graph, one_pass=False, fused_kernels=False)
+    t_base = _best_fit_time(graph, fused_kernels=False)
     t_fused = _best_fit_time(graph)
-    t_dedup = _best_fit_time(graph, dedup_aggregations=True)
 
-    rows = [
-        ("baseline", t_base),
-        ("fused", t_fused),
-        ("fused+dedup", t_dedup),
-    ]
+    rows = [("baseline", t_base), ("fused", t_fused)]
     save_result("bench_train_step", _table(rows, num_batches))
 
     assert t_base / t_fused >= MIN_SPEEDUP, (
@@ -88,31 +92,17 @@ def test_train_step_speedup(save_result):
 
 
 def test_fused_loss_curve_tracks_baseline(save_result):
-    """Equal loss trajectory: exact for the kernel swap, statistical for the
-    one-pass regrouping."""
+    """The kernel swap is numerically equivalent: same seed, same losses to
+    float noise."""
     graph = _graph()
-    epochs = 3
-
-    # The kernel swap alone is numerically equivalent — same seed, same
-    # losses to float noise.
-    fused = EHNA(seed=0, **{**CONFIG, "epochs": epochs}).fit(graph)
-    kernel_ref = EHNA(
-        seed=0, fused_kernels=False, **{**CONFIG, "epochs": epochs}
-    ).fit(graph)
-    np.testing.assert_allclose(
-        fused.loss_history, kernel_ref.loss_history, rtol=1e-6
-    )
-
-    # The full pre-PR baseline differs only statistically (per-call BN
-    # batches, RNG consumption order).
-    baseline = EHNA(
-        seed=0, one_pass=False, fused_kernels=False, **{**CONFIG, "epochs": epochs}
-    ).fit(graph)
+    cfg = {**CONFIG, "epochs": 3}
+    fused = EHNA(seed=0, **cfg).fit(graph)
+    baseline = EHNA(seed=0, fused_kernels=False, **cfg).fit(graph)
     lf, lb = np.array(fused.loss_history), np.array(baseline.loss_history)
     rel = np.abs(lf - lb) / np.abs(lb)
     lines = ["Fused vs baseline loss trajectory (per epoch)",
              f"{'epoch':<7} {'fused':>10} {'baseline':>10} {'rel diff':>9}"]
     for e, (a, b, r) in enumerate(zip(lf, lb, rel)):
-        lines.append(f"{e:<7} {a:>10.4f} {b:>10.4f} {r:>8.1%}")
+        lines.append(f"{e:<7} {a:>10.4f} {b:>10.4f} {r:>9.1e}")
     save_result("bench_train_step_loss", "\n".join(lines))
-    assert np.all(rel < LOSS_RTOL), f"loss curves diverged: {rel}"
+    np.testing.assert_allclose(lf, lb, rtol=1e-6)

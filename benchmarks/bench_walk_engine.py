@@ -1,6 +1,6 @@
 """Walk-engine benchmark: batched lockstep vs. the seed per-node loops.
 
-Times walk generation on a Table-1 synthetic graph (the DBLP stand-in) three
+Times walk generation on a Table-1 synthetic graph (the DBLP stand-in) two
 ways and saves the comparison table under ``benchmarks/results/``:
 
 - ``sequential``: the pre-engine per-node loops (``walk_sequential``), one
@@ -9,7 +9,6 @@ ways and saves the comparison table under ``benchmarks/results/``:
   batch.  Required to be at least 5x faster on the temporal family (the
   acceptance bar of the engine PR; in practice ~10x at this size and growing
   with batch width).
-- ``cached``: a warm LRU walk cache serving the whole workload.
 
 Also asserts the engine's batch-size-1 bitwise-identity contract so the
 speedup is provably not a change in sampling semantics.
@@ -24,7 +23,7 @@ import timeit
 import numpy as np
 
 from repro.datasets import load
-from repro.walks import BatchedWalkEngine, TemporalWalker, UniformWalker
+from repro.walks import TemporalWalker, UniformWalker
 
 NUM_WALKS = 4  # the paper's k, laptop scale
 LENGTH = 8
@@ -100,31 +99,3 @@ def test_walk_engine_speedup(save_result):
         f"seed per-node loop (need >= {MIN_TEMPORAL_SPEEDUP}x)"
     )
 
-
-def test_walk_cache_hit_throughput(save_result):
-    graph = load("dblp", scale=1.0, seed=0)
-    anchor = float(np.median(graph.time))
-    nodes = np.arange(graph.num_nodes)
-    anchors = np.full(nodes.size, anchor)
-
-    cold = BatchedWalkEngine(graph, p=0.5, q=2.0)
-    warm = BatchedWalkEngine(graph, p=0.5, q=2.0, cache_size=4 * graph.num_nodes)
-    warm.temporal_walk_sets(nodes, anchors, NUM_WALKS, LENGTH, np.random.default_rng(0))
-
-    t_cold = _best(
-        lambda: cold.temporal_walk_sets(
-            nodes, anchors, NUM_WALKS, LENGTH, np.random.default_rng(0)
-        )
-    )
-    t_warm = _best(
-        lambda: warm.temporal_walk_sets(
-            nodes, anchors, NUM_WALKS, LENGTH, np.random.default_rng(0)
-        )
-    )
-    save_result(
-        "walk_engine_cache",
-        "Warm LRU walk cache vs. fresh batched sampling\n"
-        f"uncached {t_cold * 1e3:8.1f}ms   cache-hit {t_warm * 1e3:8.1f}ms   "
-        f"({t_cold / t_warm:.0f}x, {nodes.size} walk sets)",
-    )
-    assert t_warm < t_cold

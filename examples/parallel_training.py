@@ -30,13 +30,14 @@ def main() -> None:
         batch = engine.temporal_walk_batch(starts, anchors, 2, 8, seed=0)
     print(f"walk batch: ids{batch.ids.shape}, bitwise worker-count-invariant")
 
-    # Sync data-parallel EHNA: workers attach the shared graph, train their
-    # shards against a broadcast snapshot of the flat parameter vector, and
-    # the parent averages gradients into one Adam step — deterministic end
-    # to end.
+    # EHNA has one training step: each batch splits into parallel_shards
+    # shards whose gradients are averaged, in shard order, into one Adam
+    # step.  num_workers only picks where a fit runs the shards: inline (1)
+    # or on workers attached to the shared graph and parameters (>= 2) —
+    # the two give bitwise-equal models.
     model = EHNA(dim=16, epochs=2, num_workers=2, parallel_shards=8, seed=0)
     model.fit(graph)
-    print(f"EHNA sync x2 workers: final loss {model.loss_history[-1]:.4f}")
+    print(f"EHNA 8 shards on 2 workers: final loss {model.loss_history[-1]:.4f}")
 
     # Hogwild for the skip-gram baselines: lock-free workers race on shared
     # weight tables.  Fastest, but reproducible statistically, not bitwise.

@@ -272,7 +272,16 @@ class EmbeddingMethod(abc.ABC):
         as corrupt.  Within a matching policy, array loading casts values
         into the model's buffers (a no-op for same-precision saves).
         """
-        ck = load_checkpoint(path)
+        return cls._restore(load_checkpoint(path), precision)
+
+    @classmethod
+    def _restore(cls, ck, precision: str | None = None, time_scale=None):
+        """:meth:`load` from an already read checkpoint.
+
+        ``time_scale`` pins the restored graph's ``times01`` span before the
+        model builds any state from the graph — a recovering service needs
+        its walk engine built under the scale the live service ran with.
+        """
         klass = _find_method_class(ck.class_name)
         if klass is None:
             raise CheckpointError(
@@ -306,6 +315,8 @@ class EmbeddingMethod(abc.ABC):
                 arrays.pop("graph/time"),
                 arrays.pop("graph/weight"),
             )
+            if time_scale is not None:
+                model.graph.pin_time_scale(*time_scale)
         model._rng = restore_rng(meta["rng_state"])
         model.name = meta.get("name", klass.name)
         model._load_state_dict(arrays, meta)

@@ -37,9 +37,9 @@ class EHNAConfig:
     # scaling erodes the identity readout before any pairwise signal forms.
     # None = lr / 20.
     network_lr: float | None = None
-    # Element-wise gradient clip bound for both optimizers; 0 disables
-    # clipping (mapped to the optimizers' clip=None — never to a zero bound,
-    # which would silently freeze training).
+    # Element-wise gradient clip bound for both parameter groups (embedding
+    # table and network); 0 disables clipping (mapped to clip=None — never
+    # to a zero bound, which would silently freeze training).
     grad_clip: float = 5.0
     # Ablation switches (Table VII variants flip these).
     use_attention: bool = True
@@ -55,17 +55,6 @@ class EHNAConfig:
     time_eps: float = 1e-2
     # Noise-distribution exponent P_n(v) ∝ d^power (0 = uniform; ablation).
     negative_power: float = 0.75
-    # LRU walk-cache capacity (in walk sets) of the batched walk engine; 0
-    # disables caching and resamples fresh walks for every target, the
-    # paper's behavior.  With a positive size, repeated fit() epochs (which
-    # replay the same (node, t) targets) and the uniform fallback sampler
-    # reuse cached neighborhoods instead of resampling.
-    walk_cache_size: int = 0
-    # Resolution of the cache key's time component: 0 keys on exact anchor
-    # timestamps (reuse never mixes neighborhoods across anchors), k > 0
-    # quantizes anchors into k buckets on the [0, 1] scale for more hits at
-    # the cost of temporal fidelity.
-    walk_time_buckets: int = 0
     # Loss geometry: "euclidean" (the paper's metric-space argument) or
     # "dot" (the word2vec-style similarity it argues against; ablation).
     objective: str = "euclidean"
@@ -74,45 +63,25 @@ class EHNAConfig:
     # the reference path (Walk objects + batch_walks + stepwise StackedLSTM),
     # which False selects for ablations and the training-math smoke gate.
     fused_kernels: bool = True
-    # One grouped aggregation per training batch (positives + every negative
-    # group in a single walk-engine call / padding / LSTM launch / backward).
-    # False restores the pre-fusion three-call step — the benchmark baseline.
-    # Unlike fused_kernels this switch changes the loss trajectory slightly:
-    # batch-norm statistics are computed per aggregator call, and negatives
-    # are drawn from the shared RNG stream before (not after) the positive
-    # walks, so the two paths sample different negatives/walks.
-    one_pass: bool = True
-    # Collapse repeated (node, anchor) pairs inside a grouped aggregation to
-    # one walk set + one aggregation, scattered back to every occurrence.
-    # Saves work when negatives collide or both endpoints repeat in a batch,
-    # at the cost of those occurrences sharing one neighborhood sample
-    # (slightly lower gradient variance reduction); off by default.
-    dedup_aggregations: bool = False
     # Cap on a hub's per-hop candidate set in the temporal walk engine; 0
     # (default) keeps the exact behavior.  With cap > 0, each hop gathers
     # only a node's `candidate_cap` most recent historical events — O(cap)
     # per hop instead of O(degree) — truncating only the smallest Eq. 1
     # decay weights (see BatchedWalkEngine's sampling note).
     candidate_cap: int = 0
-    # Data parallelism (repro.parallel).  num_workers=1 (default) is the
-    # single-process legacy path, bitwise-unchanged.  num_workers >= 2 fans
-    # training out over that many spawn workers attached to a shared-memory
-    # graph; num_workers=0 runs the *same sharded math* inline without a
-    # pool — the bitwise comparator for sync mode (sync trajectories are
-    # worker-count-invariant: 0, 2, 4, ... all agree bitwise at a fixed
-    # seed, but differ from the legacy path, whose batch-norm statistics
-    # and RNG stream are whole-batch rather than per-shard).
+    # Data parallelism.  Every training step splits its batch into
+    # `parallel_shards` shards: each draws its negatives and walks, runs the
+    # aggregation, loss and backward on its own, and the gradients are
+    # averaged in shard order into one Adam step.  One shard draws from the
+    # model's RNG stream directly; with more, shard i draws from
+    # SeedSequence((step_seed, i)), step_seed being one draw from the model
+    # stream per step.  `num_workers` only picks where the shards of a fit
+    # run: inline (1) or on that many spawn workers attached to a
+    # shared-memory graph (>= 2, at most one per shard).  The math never
+    # depends on it, so every worker count yields bitwise-equal results.
+    # partial_fit always runs inline.
     num_workers: int = 1
-    # Gradient protocol of the parallel trainer: "sync" (deterministic
-    # shard-averaged gradients, the EHNA default) or "hogwild" (lock-free
-    # shared-array updates — only meaningful for the skip-gram baselines,
-    # which route through repro.parallel.hogwild; EHNA rejects it).
-    parallel: str = "sync"
-    # Number of gradient shards a sync-mode batch is split into.  This —
-    # not the worker count — defines the reduction order and the per-shard
-    # RNG substreams, so changing worker counts never changes the math;
-    # shards are dealt round-robin to however many workers exist.
-    parallel_shards: int = 8
+    parallel_shards: int = 1
     # Precision policy of the compute substrate (repro.nn.dtypes):
     # "float64" is the bitwise-stable reference mode; "float32" is the fast
     # mode — single-precision parameters/activations/walk batches validated
@@ -141,18 +110,18 @@ class EHNAConfig:
         check_positive("fallback_hops", self.fallback_hops)
         check_positive("time_eps", self.time_eps)
         check_non_negative("negative_power", self.negative_power)
-        check_non_negative("walk_cache_size", self.walk_cache_size)
-        check_non_negative("walk_time_buckets", self.walk_time_buckets)
         if self.objective not in ("euclidean", "dot"):
             raise ValueError(
                 f"objective must be 'euclidean' or 'dot', got {self.objective!r}"
             )
         check_non_negative("candidate_cap", self.candidate_cap)
-        check_non_negative("num_workers", self.num_workers)
+        check_positive("num_workers", self.num_workers)
         check_positive("parallel_shards", self.parallel_shards)
-        if self.parallel not in ("sync", "hogwild"):
+        if self.num_workers > self.parallel_shards:
             raise ValueError(
-                f"parallel must be 'sync' or 'hogwild', got {self.parallel!r}"
+                f"num_workers={self.num_workers} exceeds parallel_shards="
+                f"{self.parallel_shards}: a worker runs whole shards, so the "
+                "extra workers would sit idle"
             )
         # Raises UnknownPrecisionError listing the valid policy names.
         get_precision(self.precision)

@@ -7,8 +7,9 @@ isolation seam :mod:`repro.core.params` provides.  Three front doors:
 
 - :class:`ParallelWalkEngine` — sharded walk generation, bitwise
   worker-count-invariant (``repro.parallel.walks``).
-- ``fit_data_parallel`` — synchronous shard-averaged EHNA training, wired
-  behind ``EHNAConfig.num_workers`` (``repro.parallel.trainer``).
+- ``shard_pool`` — the worker pool ``EHNA.fit`` runs the shards of its
+  training steps on when ``EHNAConfig.num_workers >= 2``
+  (``repro.parallel.trainer``).
 - ``hogwild_train_corpus`` — lock-free shared-table training for the
   skip-gram baselines, wired behind ``train_corpus(num_workers=...)``
   (``repro.parallel.hogwild``).
@@ -20,14 +21,14 @@ the sync-vs-hogwild tradeoffs.
 from repro.parallel.hogwild import hogwild_train_corpus
 from repro.parallel.pool import shard_ranges, shard_rng, shard_seed_seq, spawn_pool
 from repro.parallel.state import SharedParams
-from repro.parallel.trainer import fit_data_parallel
+from repro.parallel.trainer import shard_pool
 from repro.parallel.walks import ParallelWalkEngine
 
 __all__ = [
     "ParallelWalkEngine",
     "SharedParams",
-    "fit_data_parallel",
     "hogwild_train_corpus",
+    "shard_pool",
     "shard_ranges",
     "shard_rng",
     "shard_seed_seq",

@@ -340,9 +340,10 @@ class OnlineService:
     ) -> "OnlineService":
         """Rebuild the exact pre-crash service from checkpoint + WAL.
 
-        Loads the checkpoint (verifying its checksums), restores every
-        counter from the embedded watermark, re-pins the time scale the
-        original service ran under, re-marks the checkpoint's unabsorbed
+        Loads the checkpoint (verifying its checksums) with the time scale
+        the original service ran under pinned before the model builds its
+        walk engine, restores every counter from the embedded watermark,
+        re-marks the checkpoint's unabsorbed
         tail, then replays every WAL record past the watermark through the
         ordinary ingest loop (``train_every`` absorbs fire exactly as they
         originally did; the restored RNG makes them deterministic).  The
@@ -363,10 +364,8 @@ class OnlineService:
                 "stream watermark; only OnlineService.checkpoint() output "
                 "is recoverable (wrap the model in a fresh service instead)"
             )
-        model = EmbeddingMethod.load(checkpoint_path)
         scale = wm.get("time_scale")
-        if scale is not None:
-            model.graph.pin_time_scale(*scale)
+        model = EmbeddingMethod._restore(ck, time_scale=scale)
         cfg = dict(wm.get("service") or {})
         ckpt_path = overrides.pop("checkpoint_path", Path(checkpoint_path))
         cfg.update(overrides)

@@ -8,7 +8,7 @@ to the per-node ``*_sequential`` reference loops at batch size 1).
 
 from repro.walks.base import Walk, WalkBatch, concat_walk_batches
 from repro.walks.ctdne import CTDNEWalker
-from repro.walks.engine import BatchedWalkEngine, WalkCache
+from repro.walks.engine import BatchedWalkEngine
 from repro.walks.static import Node2VecWalker, UniformWalker
 from repro.walks.temporal import TemporalWalker
 
@@ -17,7 +17,6 @@ __all__ = [
     "WalkBatch",
     "concat_walk_batches",
     "BatchedWalkEngine",
-    "WalkCache",
     "TemporalWalker",
     "Node2VecWalker",
     "UniformWalker",

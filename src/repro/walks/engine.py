@@ -25,13 +25,6 @@ RNG stream draw-for-draw like the per-node reference implementations
 identical* under the same seed.  ``tests/walks/test_engine.py`` pins this
 property for all four walk families.
 
-**Walk cache.** An LRU cache keyed by ``(kind, node, time-bucket, …)``
-optionally memoizes whole walk sets so repeated ``fit()`` epochs (which replay
-the same target edges) and the uniform fallback sampler reuse work instead of
-resampling.  ``time_buckets=0`` keys on exact anchor times — reuse then never
-mixes neighborhoods across anchors, which keeps the historical constraint of
-Definition 2 intact.
-
 **Array-native batching.** ``temporal_walk_batch`` / ``uniform_walk_batch``
 skip ``Walk`` materialization entirely: the same lockstep loops (same RNG
 draws) pad their raw buffers straight into aggregator-ready
@@ -42,8 +35,6 @@ the fused aggregation pipeline (see docs/architecture.md).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
@@ -53,43 +44,6 @@ from repro.utils.validation import check_non_negative, check_positive
 from repro.walks.base import Walk, WalkBatch
 
 _I64 = np.int64
-
-
-class WalkCache:
-    """A small LRU cache for walk sets, with hit/miss counters."""
-
-    def __init__(self, maxsize: int) -> None:
-        check_positive("maxsize", maxsize)
-        self.maxsize = int(maxsize)
-        self._store: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key):
-        """Return the cached value (refreshing recency) or ``None``."""
-        value = self._store.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        """Insert ``key``, evicting the least recently used entry if full."""
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 def _ragged_gather(starts: np.ndarray, stops: np.ndarray):
@@ -121,8 +75,6 @@ class BatchedWalkEngine:
         and node2vec walk families.
     decay:
         Eq. 1 exponential time-decay rate on the [0, 1] time scale.
-    cache_size:
-        Capacity (in walk *sets*) of the LRU walk cache; 0 disables caching.
     real_dtype:
         Floating dtype of the :class:`WalkBatch` arrays the array-native fast
         path emits (``valid``/``time_sums``) — the precision policy's real
@@ -131,11 +83,6 @@ class BatchedWalkEngine:
         about half the reference mode's bytes.  Timestamps and sampling
         weights always stay ``float64`` internally: walk *selection* is
         precision-independent, only the emitted batch narrows.
-    time_buckets:
-        Resolution of the cache key's time component.  0 keys on the exact
-        anchor timestamp (reuse only across identical anchors — always safe);
-        ``k > 0`` quantizes anchors into ``k`` buckets on the [0, 1] scale,
-        trading temporal fidelity for more hits.
     candidate_cap:
         Cap on a node's per-hop candidate set in the temporal family; 0
         (default) keeps the exact, uncapped behavior bitwise-unchanged.
@@ -161,16 +108,12 @@ class BatchedWalkEngine:
         p: float = 1.0,
         q: float = 1.0,
         decay: float = 1.0,
-        cache_size: int = 0,
-        time_buckets: int = 0,
         real_dtype=np.float64,
         candidate_cap: int = 0,
     ) -> None:
         check_positive("p", p)
         check_positive("q", q)
         check_non_negative("decay", decay)
-        check_non_negative("cache_size", cache_size)
-        check_non_negative("time_buckets", time_buckets)
         check_non_negative("candidate_cap", candidate_cap)
         self.graph = graph
         self._real = np.dtype(real_dtype)
@@ -197,8 +140,6 @@ class BatchedWalkEngine:
         self._pair_keys = owners * graph.num_nodes + dnbr
         self._first_tables: PackedAliasTables | None = None
         self._pair_cache: dict = {}
-        self.cache = WalkCache(cache_size) if cache_size > 0 else None
-        self.time_buckets = int(time_buckets)
 
     # ------------------------------------------------------------------
     # vectorized binary searches over the flat CSR arrays
@@ -480,8 +421,7 @@ class BatchedWalkEngine:
         ``batch_walks``: the same lockstep loop fills the same raw buffers
         with the same RNG draws, but the result is padded straight into a
         :class:`WalkBatch` — no per-walk ``Walk`` objects, no Python
-        re-padding loop.  Bypasses the LRU walk cache (it stores ``Walk``
-        sets); callers that want cache reuse take the ``Walk`` path.
+        re-padding loop.
         """
         check_positive("num_walks", num_walks)
         rng = ensure_rng(rng)
@@ -650,13 +590,8 @@ class BatchedWalkEngine:
         return self._emit(nodes_buf, times_buf, lengths, with_times=True)
 
     # ------------------------------------------------------------------
-    # cache-aware walk-set APIs (what EHNA.fit calls)
+    # walk-set APIs (the reference path of EHNA's aggregation)
     # ------------------------------------------------------------------
-    def _time_key(self, t: float):
-        if self.time_buckets <= 0:
-            return float(t)
-        return int(self.graph.scale_time(float(t)) * self.time_buckets)
-
     def temporal_walk_sets(
         self,
         nodes,
@@ -665,82 +600,22 @@ class BatchedWalkEngine:
         length: int,
         rng=None,
         include_context: bool = False,
-        use_cache: bool = True,
     ) -> list[list[Walk]]:
-        """``num_walks`` temporal walks per ``(node, anchor)`` pair, batched.
-
-        All cache misses are advanced together in one lockstep batch of
-        ``misses * num_walks`` walks; hits return the memoized walk set
-        without consuming any randomness.  ``use_cache=False`` bypasses the
-        LRU entirely (neither reads nor writes) — inference paths use this
-        so serving answers never depend on training-cache warmth and never
-        pollute entries training will consume.
-        """
+        """``num_walks`` temporal walks per ``(node, anchor)`` pair, advanced
+        together in one lockstep batch of ``len(nodes) * num_walks`` walks."""
         check_positive("num_walks", num_walks)
         rng = ensure_rng(rng)
-        nodes = np.asarray(nodes, dtype=_I64)
-        anchors = np.asarray(anchors, dtype=np.float64)
-        results: list = [None] * nodes.size
-        cached = self.cache is not None and use_cache
-        miss = []
-        if cached:
-            keys = [
-                ("temporal", int(v), self._time_key(t), num_walks, length, include_context)
-                for v, t in zip(nodes, anchors)
-            ]
-            for i, key in enumerate(keys):
-                hit = self.cache.get(key)
-                if hit is None:
-                    miss.append(i)
-                else:
-                    results[i] = hit
-        else:
-            miss = list(range(nodes.size))
-        if miss:
-            midx = np.asarray(miss, dtype=_I64)
-            starts = np.repeat(nodes[midx], num_walks)
-            anch = np.repeat(anchors[midx], num_walks)
-            walks = self.temporal(starts, anch, length, rng, include_context)
-            for j, i in enumerate(miss):
-                ws = walks[j * num_walks : (j + 1) * num_walks]
-                results[i] = ws
-                if cached:
-                    self.cache.put(keys[i], ws)
-        return results
+        starts = np.repeat(np.asarray(nodes, dtype=_I64), num_walks)
+        anchors = np.repeat(np.asarray(anchors, dtype=np.float64), num_walks)
+        walks = self.temporal(starts, anchors, length, rng, include_context)
+        return [walks[i : i + num_walks] for i in range(0, len(walks), num_walks)]
 
     def uniform_walk_sets(
-        self, nodes, num_walks: int, length: int, rng=None, use_cache: bool = True
+        self, nodes, num_walks: int, length: int, rng=None
     ) -> list[list[Walk]]:
-        """``num_walks`` uniform walks per node, batched and cache-aware.
-
-        ``use_cache=False`` bypasses the LRU entirely (see
-        :meth:`temporal_walk_sets`); note the uniform cache key carries no
-        anchor, so sharing it between training and inference would make
-        serving answers depend on cache warmth.
-        """
+        """``num_walks`` uniform walks per node, advanced in one lockstep batch."""
         check_positive("num_walks", num_walks)
         rng = ensure_rng(rng)
-        nodes = np.asarray(nodes, dtype=_I64)
-        results: list = [None] * nodes.size
-        cached = self.cache is not None and use_cache
-        miss = []
-        if cached:
-            keys = [("uniform", int(v), num_walks, length) for v in nodes]
-            for i, key in enumerate(keys):
-                hit = self.cache.get(key)
-                if hit is None:
-                    miss.append(i)
-                else:
-                    results[i] = hit
-        else:
-            miss = list(range(nodes.size))
-        if miss:
-            midx = np.asarray(miss, dtype=_I64)
-            starts = np.repeat(nodes[midx], num_walks)
-            walks = self.uniform(starts, length, rng)
-            for j, i in enumerate(miss):
-                ws = walks[j * num_walks : (j + 1) * num_walks]
-                results[i] = ws
-                if cached:
-                    self.cache.put(keys[i], ws)
-        return results
+        starts = np.repeat(np.asarray(nodes, dtype=_I64), num_walks)
+        walks = self.uniform(starts, length, rng)
+        return [walks[i : i + num_walks] for i in range(0, len(walks), num_walks)]

@@ -80,24 +80,6 @@ class TestEHNARoundtrip:
         with pytest.raises(RuntimeError, match="fit"):
             EHNA(**FAST).save(tmp_path / "m.npz")
 
-    def test_cached_model_serves_independent_of_cache_warmth(self, graph, tmp_path):
-        """With a walk cache, fit warms entries the cold loaded model lacks;
-        encode must bypass the cache so both serve bitwise-identical rows."""
-        model = EHNA(seed=0, walk_cache_size=64, **FAST).fit(graph)
-        loaded = EHNA.load(model.save(tmp_path / "m.npz"))
-        nodes = np.arange(graph.num_nodes)
-        lo, hi = graph.time_span
-        for anchor in (lo - 1.0, 0.5 * (lo + hi), hi + 1.0):
-            np.testing.assert_array_equal(
-                loaded.encode(nodes, at=anchor), model.encode(nodes, at=anchor)
-            )
-
-    def test_encode_does_not_pollute_walk_cache(self, graph):
-        model = EHNA(seed=0, walk_cache_size=64, **FAST).fit(graph)
-        before = len(model.engine.cache)
-        model.encode(np.arange(graph.num_nodes), at=0.5 * sum(graph.time_span))
-        assert len(model.engine.cache) == before
-
     def test_base_class_load_dispatches(self, fitted_ehna, tmp_path):
         path = fitted_ehna.save(tmp_path / "m.npz")
         loaded = EmbeddingMethod.load(path)

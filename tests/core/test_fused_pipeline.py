@@ -5,8 +5,7 @@ smoke gate.
 array-native WalkBatch fast path + single-node BPTT kernel.  The swap is
 numerically equivalent, so a full training run must produce the same loss
 trajectory — this is the tier-1 gate that keeps perf refactors from silently
-changing training math.  ``one_pass`` and ``dedup_aggregations`` *do* change
-the step semantics (documented) and are covered for behavior, not equality.
+changing training math.
 """
 
 import numpy as np
@@ -68,69 +67,12 @@ class TestFusedMatchesReference:
         np.testing.assert_allclose(fused.loss_history, ref.loss_history, rtol=1e-6)
 
 
-class TestOnePassStep:
-    def test_reference_step_still_trains(self, graph):
-        m = EHNA(seed=0, one_pass=False, **FAST).fit(graph)
-        assert len(m.loss_history) == FAST["epochs"]
-        assert np.all(np.isfinite(m.embeddings()))
-
-    def test_one_pass_losses_are_finite_and_comparable(self, graph):
-        """one_pass changes batch-norm batching (documented), so losses are
-        statistically — not bitwise — equal to the three-call step."""
-        one = EHNA(seed=0, one_pass=True, **FAST).fit(graph)
-        three = EHNA(seed=0, one_pass=False, **FAST).fit(graph)
-        a, b = np.array(one.loss_history), np.array(three.loss_history)
-        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-        np.testing.assert_allclose(a, b, rtol=0.5)
-
-
-class TestDedupAggregations:
-    def test_duplicate_rows_share_one_aggregation(self, graph):
-        m = EHNA(seed=0, dedup_aggregations=True, **FAST)
-        m._build_runtime(graph)
-        m.aggregator.eval()
-        t_end = graph.time_span[1] + 1.0
-        nodes = np.array([3, 5, 3, 5, 3])
-        anchors = [t_end] * 5
-        z = m._grouped_aggregate(nodes, anchors, rng=np.random.default_rng(1))
-        np.testing.assert_array_equal(z.data[0], z.data[2])
-        np.testing.assert_array_equal(z.data[0], z.data[4])
-        np.testing.assert_array_equal(z.data[1], z.data[3])
-        assert not np.array_equal(z.data[0], z.data[1])
-
-    def test_training_with_dedup(self, graph):
-        m = EHNA(seed=0, dedup_aggregations=True, **FAST).fit(graph)
-        assert np.all(np.isfinite(m.embeddings()))
-        # encode still serves the table bitwise at default anchors.
-        np.testing.assert_array_equal(m.encode([0, 1]), m.embeddings()[[0, 1]])
-
-    def test_dedup_backward_accumulates(self, graph):
-        """Gradients flow to the embedding table through the scatter."""
-        m = EHNA(seed=0, dedup_aggregations=True, **FAST)
-        m._build_runtime(graph)
-        t_end = graph.time_span[1] + 1.0
-        z = m._grouped_aggregate(
-            np.array([2, 2, 2]), [t_end] * 3, rng=np.random.default_rng(2)
-        )
-        z.sum().backward()
-        assert m.embedding.weight.grad is not None
-        assert np.any(m.embedding.weight.grad != 0)
-
-
-class TestCacheInterplay:
-    def test_walk_cache_still_works_with_fused_kernels(self, graph):
-        """The LRU walk cache stores Walk sets, so cached training keeps the
-        reference batching; the model must train and serve regardless."""
-        m = EHNA(seed=0, walk_cache_size=64, **FAST).fit(graph)
-        assert np.all(np.isfinite(m.embeddings()))
-        assert m.engine.cache is not None
-        assert m.engine.cache.hits + m.engine.cache.misses > 0
-
+class TestCheckpointConfig:
     def test_checkpoint_roundtrip_preserves_new_config(self, graph, tmp_path):
-        m = EHNA(seed=0, dedup_aggregations=True, one_pass=False, **FAST).fit(graph)
+        m = EHNA(seed=0, fused_kernels=False, parallel_shards=2, **FAST).fit(graph)
         path = m.save(tmp_path / "ehna.npz")
         loaded = EHNA.load(path)
-        assert loaded.config.dedup_aggregations is True
-        assert loaded.config.one_pass is False
-        assert loaded.config.fused_kernels is True
+        assert loaded.config == m.config
+        assert loaded.config.fused_kernels is False
+        assert loaded.config.parallel_shards == 2
         np.testing.assert_array_equal(loaded.embeddings(), m.embeddings())

@@ -94,7 +94,7 @@ class TestFloat32Training:
         """The non-fused (Walk-object) path narrows too, so ablations run
         under the same policy as the fast path."""
         model = EHNA(
-            precision="float32", fused_kernels=False, one_pass=False, **FAST
+            precision="float32", fused_kernels=False, **FAST
         ).fit(graph)
         assert model.embeddings().dtype == np.float32
 

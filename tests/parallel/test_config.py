@@ -1,4 +1,4 @@
-"""EHNAConfig's parallelism knobs validate and default to the legacy path."""
+"""EHNAConfig's parallelism knobs validate and default to one inline shard."""
 
 from __future__ import annotations
 
@@ -9,20 +9,12 @@ from repro.core import EHNAConfig
 
 class TestParallelConfig:
     def test_defaults_keep_the_legacy_path(self):
+        # One inline shard is the whole-batch step the training goldens pin.
         cfg = EHNAConfig()
         assert cfg.num_workers == 1
-        assert cfg.parallel == "sync"
-        assert cfg.parallel_shards == 8
+        assert cfg.parallel_shards == 1
         assert cfg.candidate_cap == 0
         cfg.validate()
-
-    @pytest.mark.parametrize("mode", ["sync", "hogwild"])
-    def test_known_modes_validate(self, mode):
-        EHNAConfig(parallel=mode, num_workers=2).validate()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="parallel"):
-            EHNAConfig(parallel="async").validate()
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -31,3 +23,12 @@ class TestParallelConfig:
             EHNAConfig(candidate_cap=-1).validate()
         with pytest.raises(ValueError):
             EHNAConfig(parallel_shards=0).validate()
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            EHNAConfig(num_workers=0).validate()
+
+    def test_more_workers_than_shards_rejected(self):
+        with pytest.raises(ValueError, match="exceeds parallel_shards=1"):
+            EHNAConfig(num_workers=2).validate()
+        EHNAConfig(num_workers=2, parallel_shards=2).validate()

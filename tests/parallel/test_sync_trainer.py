@@ -1,12 +1,10 @@
-"""Sync data-parallel EHNA training: worker-count-invariant, bitwise.
+"""Sharded EHNA training: worker-count-invariant, bitwise.
 
-``num_workers=0`` runs the sharded estimator inline — the bitwise
-comparator for the pooled runs.  The contract: for a fixed seed and fixed
-``parallel_shards``, the loss trajectory AND the final embeddings are
-bitwise-identical for every worker count, in both precisions.  The legacy
-single-process path (``num_workers=1``, the default) is its own estimator
-— per-shard BatchNorm statistics and RNG substreams make the sharded math
-intentionally different — and must stay untouched by this feature.
+``num_workers=1`` runs every shard inline — the bitwise comparator for the
+pooled runs.  The contract: for a fixed seed and fixed ``parallel_shards``,
+the loss trajectory AND the final embeddings are bitwise-identical for
+every worker count, in both precisions.  That one shard replays the old
+whole-batch trajectory is pinned by ``tests/core/test_training_golden.py``.
 """
 
 from __future__ import annotations
@@ -41,27 +39,19 @@ def graph():
 
 class TestInlineShardedPath:
     def test_inline_is_deterministic(self, graph):
-        a = EHNA(seed=7, num_workers=0, **CFG).fit(graph)
-        b = EHNA(seed=7, num_workers=0, **CFG).fit(graph)
+        a = EHNA(seed=7, num_workers=1, **CFG).fit(graph)
+        b = EHNA(seed=7, num_workers=1, **CFG).fit(graph)
         assert a.loss_history == b.loss_history
         np.testing.assert_array_equal(a.embeddings(), b.embeddings())
 
-    def test_sharded_estimator_differs_from_legacy(self, graph):
-        # Same seed, different estimator: the sharded path uses per-shard
-        # BN statistics and RNG substreams, so it must NOT be compared to
-        # the legacy trajectory — only to itself across worker counts.
-        sharded = EHNA(seed=7, num_workers=0, **CFG).fit(graph)
-        legacy = EHNA(seed=7, num_workers=1, **CFG).fit(graph)
-        assert sharded.loss_history != legacy.loss_history
-
     def test_shard_count_is_part_of_the_scheme(self, graph):
         cfg = dict(CFG, parallel_shards=2)
-        two = EHNA(seed=7, num_workers=0, **cfg).fit(graph)
-        four = EHNA(seed=7, num_workers=0, **CFG).fit(graph)
+        two = EHNA(seed=7, num_workers=1, **cfg).fit(graph)
+        four = EHNA(seed=7, num_workers=1, **CFG).fit(graph)
         assert two.loss_history != four.loss_history
 
     def test_trained_model_serves_the_full_surface(self, graph):
-        model = EHNA(seed=7, num_workers=0, **CFG).fit(graph)
+        model = EHNA(seed=7, num_workers=1, **CFG).fit(graph)
         emb = model.embeddings()
         assert emb.shape == (graph.num_nodes, CFG["dim"])
         assert np.isfinite(emb).all()
@@ -69,16 +59,12 @@ class TestInlineShardedPath:
         assert out.shape == (4, CFG["dim"])
         assert np.isfinite(out).all()
 
-    def test_hogwild_mode_is_rejected_for_ehna(self, graph):
-        with pytest.raises(ValueError, match="hogwild"):
-            EHNA(seed=7, num_workers=0, parallel="hogwild", **CFG).fit(graph)
-
 
 @pytest.mark.parallel
 class TestWorkerCountInvariance:
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_pool_bitwise_equal_to_inline(self, graph, precision):
-        inline = EHNA(seed=7, num_workers=0, precision=precision, **CFG).fit(graph)
+        inline = EHNA(seed=7, num_workers=1, precision=precision, **CFG).fit(graph)
         pooled = EHNA(seed=7, num_workers=2, precision=precision, **CFG).fit(graph)
         assert inline.loss_history == pooled.loss_history
         emb_inline = inline.embeddings()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EHNA
+from repro.core import EHNA, FlatParams
 from repro.datasets import load, load_cache_clear
 from repro.datasets.registry import PAPER_DATASETS
 from repro.graph.temporal_graph import TemporalGraph
@@ -77,9 +77,9 @@ class TestBackendEquality:
                 dim=8, num_walks=2, walk_length=3, num_negatives=2, seed=21
             )
             model._build_runtime(graph)
-            optimizers = model._make_optimizers()
+            flat = FlatParams(model._named_parameters())
             model.aggregator.train()
-            losses.append(model._train_batch(edge_ids, optimizers))
+            losses.append(model._train_step(edge_ids, flat, model._make_optimizer(flat)))
             weights.append(model.embedding.weight.data.copy())
         assert losses[0] == losses[1]
         np.testing.assert_array_equal(weights[0], weights[1])

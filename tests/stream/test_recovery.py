@@ -300,6 +300,24 @@ class TestCheckpointWatermark:
         assert recovered.staleness == svc.staleness
         assert recovered.graph.time_scale == svc.graph.time_scale
 
+    def test_recovered_past_anchor_encode_matches_live(self, world, tmp_path):
+        # The live service pinned its time scale before the stream grew the
+        # span, so the recovered engine must be built under that same pin —
+        # not under the wider span of the checkpointed graph.
+        svc, batches = fresh_service(world, tmp_path)
+        for batch in batches:
+            svc.ingest(batch)
+        assert svc.staleness == 0
+        ck = svc.checkpoint()
+        recovered = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
+        assert recovered.graph.time_span != svc.graph.time_scale
+        nodes = np.arange(svc.graph.num_nodes)
+        lo, hi = svc.graph.time_span
+        for at in (lo + 0.25 * (hi - lo), 0.5 * (lo + hi)):
+            np.testing.assert_array_equal(
+                recovered.encode(nodes, at=at), svc.encode(nodes, at=at)
+            )
+
     def test_recover_accepts_overrides(self, world, tmp_path):
         svc, batches = fresh_service(world, tmp_path)
         svc.ingest(batches[0])

@@ -4,8 +4,7 @@ The central contract: with a batch of one walk, the engine consumes the RNG
 stream draw-for-draw like the per-node ``*_sequential`` reference loops, so
 outputs are bitwise identical under a fixed seed — for all four walk
 families.  Plus: batched walks obey the same structural invariants as
-sequential ones, and the LRU walk cache returns the memoized sets without
-touching the RNG.
+sequential ones.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.walks import (
     Node2VecWalker,
     TemporalWalker,
     UniformWalker,
-    WalkCache,
 )
 
 
@@ -213,93 +211,3 @@ class TestBatchedInvariants:
         )
         assert walks[0].nodes == [2]
         assert walks[1].nodes[:2] == [0, 1]
-
-
-# ----------------------------------------------------------------------
-# walk cache
-# ----------------------------------------------------------------------
-class TestWalkCache:
-    def test_lru_eviction(self):
-        cache = WalkCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert cache.get("a") is None  # evicted
-        assert cache.get("b") == 2
-        assert cache.get("c") == 3
-        assert len(cache) == 2
-
-    def test_recency_refresh(self):
-        cache = WalkCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b", not "a"
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-
-    def test_temporal_sets_hit_returns_identical_walks(self, graph):
-        engine = BatchedWalkEngine(graph, p=0.5, q=2.0, cache_size=64)
-        anchor = float(np.median(graph.time))
-        nodes = np.arange(8)
-        anchors = np.full(8, anchor)
-        rng = np.random.default_rng(0)
-        first = engine.temporal_walk_sets(nodes, anchors, 3, 5, rng)
-        second = engine.temporal_walk_sets(nodes, anchors, 3, 5, rng)
-        assert engine.cache.hits == 8
-        for a, b in zip(first, second):
-            assert [w.nodes for w in a] == [w.nodes for w in b]
-            assert [w.edge_times for w in a] == [w.edge_times for w in b]
-
-    def test_full_hit_consumes_no_randomness(self, graph):
-        engine = BatchedWalkEngine(graph, cache_size=64)
-        nodes = np.arange(6)
-        engine.uniform_walk_sets(nodes, 2, 4, np.random.default_rng(0))
-        rng = np.random.default_rng(123)
-        engine.uniform_walk_sets(nodes, 2, 4, rng)
-        untouched = np.random.default_rng(123)
-        assert rng.random() == untouched.random()
-
-    def test_different_anchor_misses_with_exact_keys(self, graph):
-        engine = BatchedWalkEngine(graph, cache_size=64, time_buckets=0)
-        lo, hi = graph.time_span
-        nodes = np.arange(4)
-        rng = np.random.default_rng(0)
-        engine.temporal_walk_sets(nodes, np.full(4, hi), 2, 4, rng)
-        engine.temporal_walk_sets(nodes, np.full(4, hi - (hi - lo) / 1e6), 2, 4, rng)
-        assert engine.cache.hits == 0
-
-    def test_time_buckets_coarsen_keys(self, graph):
-        engine = BatchedWalkEngine(graph, cache_size=64, time_buckets=4)
-        lo, hi = graph.time_span
-        span = hi - lo
-        nodes = np.arange(4)
-        rng = np.random.default_rng(0)
-        # 0.50 and 0.55 land in the same of 4 buckets on the [0, 1] scale.
-        engine.temporal_walk_sets(nodes, np.full(4, lo + 0.50 * span), 2, 4, rng)
-        engine.temporal_walk_sets(nodes, np.full(4, lo + 0.55 * span), 2, 4, rng)
-        assert engine.cache.hits == 4
-
-    def test_cache_results_match_uncached(self, graph):
-        """A cold cached engine must produce exactly the uncached walks."""
-        anchor = float(np.median(graph.time))
-        nodes = np.arange(10)
-        anchors = np.full(10, anchor)
-        plain = BatchedWalkEngine(graph, p=0.5, q=2.0)
-        cached = BatchedWalkEngine(graph, p=0.5, q=2.0, cache_size=64)
-        a = plain.temporal_walk_sets(nodes, anchors, 3, 5, np.random.default_rng(4))
-        b = cached.temporal_walk_sets(nodes, anchors, 3, 5, np.random.default_rng(4))
-        for sa, sb in zip(a, b):
-            assert [w.nodes for w in sa] == [w.nodes for w in sb]
-
-    def test_model_cache_smoke(self):
-        """EHNA trains with the walk cache enabled and records hits."""
-        from repro.core import EHNA
-
-        g = temporal_sbm(num_nodes=30, num_edges=120, seed=11)
-        model = EHNA(
-            dim=8, epochs=2, batch_size=32, num_walks=2, walk_length=3,
-            num_negatives=2, walk_cache_size=512, seed=0,
-        ).fit(g)
-        assert np.all(np.isfinite(model.embeddings()))
-        assert model.engine.cache.hits > 0

@@ -45,7 +45,7 @@ class TestTemporalWalkBatch:
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
         sets = engine.temporal_walk_sets(
             nodes, anchors, K, LENGTH, r1,
-            include_context=include_context, use_cache=False,
+            include_context=include_context,
         )
         ref = batch_walks(sets, graph.scale_time, chronological=chronological)
         fast = engine.temporal_walk_batch(
@@ -63,7 +63,7 @@ class TestTemporalWalkBatch:
         nodes = np.arange(20)
         anchors = np.linspace(lo - 1.0, hi + 1.0, nodes.size)
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1, use_cache=False)
+        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1)
         ref = batch_walks(sets, graph.scale_time)
         fast = engine.temporal_walk_batch(nodes, anchors, K, LENGTH, r2)
         _assert_batches_equal(ref, fast)
@@ -73,7 +73,7 @@ class TestTemporalWalkBatch:
         nodes = np.arange(15)
         anchors = np.full(nodes.size, graph.time_span[1] + 1.0)
         r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1, use_cache=False)
+        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1)
         ref = batch_walks(sets, graph.scale_time, merge=True)
         fast = engine.temporal_walk_batch(nodes, anchors, K, LENGTH, r2).merged()
         _assert_batches_equal(ref, fast)
@@ -84,7 +84,7 @@ class TestTemporalWalkBatch:
         anchors = np.full(nodes.size, graph.time_span[1] + 1.0)
         keep = np.array([0, 3, 17, 29])
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1, use_cache=False)
+        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1)
         ref = batch_walks([sets[i] for i in keep], graph.scale_time)
         fast = engine.temporal_walk_batch(nodes, anchors, K, LENGTH, r2)
         _assert_batches_equal(ref, fast.take_targets(keep))
@@ -95,7 +95,7 @@ class TestUniformWalkBatch:
     def test_bitwise_equals_reference(self, graph, engine, length):
         nodes = np.arange(25)
         r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
-        sets = engine.uniform_walk_sets(nodes, K, length, r1, use_cache=False)
+        sets = engine.uniform_walk_sets(nodes, K, length, r1)
         ref = batch_walks(sets, graph.scale_time)
         fast = engine.uniform_walk_batch(nodes, K, length, r2)
         _assert_batches_equal(ref, fast)

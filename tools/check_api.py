@@ -380,8 +380,8 @@ def check_storage_surface() -> list[str]:
 PARALLEL_EXPORTS = (
     "ParallelWalkEngine",
     "SharedParams",
-    "fit_data_parallel",
     "hogwild_train_corpus",
+    "shard_pool",
     "spawn_pool",
     "shard_ranges",
     "shard_rng",
@@ -394,8 +394,8 @@ PARAMS_EXPORTS = ("FlatParams", "FlatAdam", "ParamGroup", "ParamSpec")
 #: The graph-side surface the shared-memory path is built on.
 GRAPH_SHARED_CALLABLES = ("to_shared", "from_handle")
 
-#: Config knobs the dispatcher in EHNA.fit keys on.
-PARALLEL_CONFIG_FIELDS = ("num_workers", "parallel", "parallel_shards", "candidate_cap")
+#: Config knobs EHNA's training step and its worker pool key on.
+PARALLEL_CONFIG_FIELDS = ("num_workers", "parallel_shards", "candidate_cap")
 
 
 def check_parallel_surface() -> list[str]:
@@ -434,11 +434,6 @@ def check_parallel_surface() -> list[str]:
     for name in PARALLEL_CONFIG_FIELDS:
         if name not in config_fields:
             problems.append(f"EHNAConfig: missing field {name}")
-    try:
-        EHNAConfig(parallel="no-such-mode").validate()
-        problems.append("EHNAConfig.validate accepted an unknown parallel mode")
-    except ValueError:
-        pass
 
     # The SGNS engine (and every baseline built on it) must plumb the
     # worker count through to the Hogwild path.
