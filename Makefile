@@ -78,8 +78,8 @@ bench-scale:
 	$(PY) -m pytest benchmarks/bench_scale.py -q -s -m scale
 
 ## Core-scaling benchmark: sharded walks and pooled sharded training at
-## 1/2/4/8 workers over one shared-memory graph, plus the candidate_cap hub
-## delta and the sync bitwise-invariance assertion.  Writes
+## 1/2/4/8 workers over one shared-memory graph, plus a hub-anchored walk
+## row and the sync bitwise-invariance assertion.  Writes
 ## benchmarks/results/parallel.txt.  Excluded from tier-1 (scale marker).
 bench-parallel:
 	$(PY) -m pytest benchmarks/bench_parallel.py -q -s -m scale

@@ -10,8 +10,9 @@ graph, written to ``benchmarks/results/parallel.txt``:
 2. **train scaling** — sync data-parallel ``EHNA.fit`` steps/s at the same
    worker ladder, with the ``num_workers=1`` inline run as the bitwise
    comparator for the pooled loss trajectories.
-3. **candidate_cap delta** — uncapped vs windowed ``_temporal_raw`` gather
-   on a hub-heavy graph (the satellite optimization this PR ships).
+3. **hub walks** — single-engine ``temporal_walk_batch`` throughput with
+   every walk starting at one of the 8 hubs, where the exact O(log d)
+   sampler does the same per-hop work as at any other node.
 
 The report states ``os.cpu_count()`` next to the curve: on a single-core
 container the pooled runs measure dispatch overhead, not speedup — the
@@ -56,8 +57,6 @@ TRAIN_CFG = dict(
     walk_length=5,
     parallel_shards=8,
 )
-
-CAP = 64  # candidate_cap window for the hub-gather delta
 
 
 def make_graph(num_nodes: int, num_events: int, hub_fraction: float = 0.3, seed: int = 0):
@@ -150,30 +149,19 @@ def test_core_scaling_curve(save_result):
     lines.append("pooled trajectories bitwise-equal to inline: yes (asserted)")
     lines.append("")
 
-    # -- 3. candidate_cap hub-gather delta -----------------------------
-    hub_rng = np.random.default_rng(5)
-    hub_starts = hub_rng.integers(0, 8, size=WALK_STARTS)  # all walks at hubs
-    uncapped = BatchedWalkEngine(graph)
-    capped = BatchedWalkEngine(graph, candidate_cap=CAP)
+    # -- 3. hub-anchored walks on one engine ---------------------------
+    hub_starts = np.random.default_rng(5).integers(0, 8, size=WALK_STARTS)
+    engine = BatchedWalkEngine(graph)
     t0 = _time.perf_counter()
-    uncapped.temporal_walk_batch(
+    engine.temporal_walk_batch(
         hub_starts, anchors, NUM_WALKS, WALK_LENGTH, np.random.default_rng(9)
     )
-    uncapped_s = _time.perf_counter() - t0
-    t0 = _time.perf_counter()
-    capped.temporal_walk_batch(
-        hub_starts, anchors, NUM_WALKS, WALK_LENGTH, np.random.default_rng(9)
-    )
-    capped_s = _time.perf_counter() - t0
+    hub_s = _time.perf_counter() - t0
     lines.append(
-        f"candidate_cap delta: {total_walks:,} hub-anchored walks, "
-        f"cap={CAP} vs unbounded history"
+        f"hub walks: {total_walks:,} walks starting at the 8 hubs, one engine "
+        "(exact O(log d) sampler)"
     )
-    lines.append(
-        f"  uncapped {uncapped_s * 1e3:>8.0f}ms   capped {capped_s * 1e3:>8.0f}ms "
-        f"  ({uncapped_s / capped_s:.2f}x; different sampler — see the "
-        "engine's sampling note)"
-    )
+    lines.append(f"  {hub_s * 1e3:>8.0f}ms {total_walks / hub_s:>12.0f} walks/s")
 
     shared.storage.close()
     save_result("parallel", "\n".join(lines))

@@ -63,12 +63,6 @@ class EHNAConfig:
     # the reference path (Walk objects + batch_walks + stepwise StackedLSTM),
     # which False selects for ablations and the training-math smoke gate.
     fused_kernels: bool = True
-    # Cap on a hub's per-hop candidate set in the temporal walk engine; 0
-    # (default) keeps the exact behavior.  With cap > 0, each hop gathers
-    # only a node's `candidate_cap` most recent historical events — O(cap)
-    # per hop instead of O(degree) — truncating only the smallest Eq. 1
-    # decay weights (see BatchedWalkEngine's sampling note).
-    candidate_cap: int = 0
     # Data parallelism.  Every training step splits its batch into
     # `parallel_shards` shards: each draws its negatives and walks, runs the
     # aggregation, loss and backward on its own, and the gradients are
@@ -114,7 +108,6 @@ class EHNAConfig:
             raise ValueError(
                 f"objective must be 'euclidean' or 'dot', got {self.objective!r}"
             )
-        check_non_negative("candidate_cap", self.candidate_cap)
         check_positive("num_workers", self.num_workers)
         check_positive("parallel_shards", self.parallel_shards)
         if self.num_workers > self.parallel_shards:

@@ -51,6 +51,14 @@ from repro.walks.base import Walk
 from repro.walks.engine import BatchedWalkEngine
 from repro.walks.temporal import TemporalWalker
 
+#: Config keys of the training paths that were folded into one sharded step.
+#: A checkpoint carrying them predates the fold; ``_from_config`` drops every
+#: unknown key (``candidate_cap`` too, retired with the exact sampler) but
+#: only these reset the shard layout.
+_FOLDED_TRAINING_KNOBS = frozenset(
+    {"one_pass", "dedup_aggregations", "walk_cache_size", "walk_time_buckets", "parallel"}
+)
+
 
 class EHNA(EmbeddingMethod):
     """Embedding via Historical Neighborhoods Aggregation.
@@ -103,7 +111,6 @@ class EHNA(EmbeddingMethod):
             q=cfg.q,
             decay=cfg.decay,
             real_dtype=self._precision.real,
-            candidate_cap=cfg.candidate_cap,
         )
         self.temporal_walker = (
             TemporalWalker(graph, p=cfg.p, q=cfg.q, decay=cfg.decay, engine=self.engine)
@@ -604,7 +611,7 @@ class EHNA(EmbeddingMethod):
         known = {f.name for f in dataclasses.fields(EHNAConfig)}
         retired = config.keys() - known
         config = {k: v for k, v in config.items() if k in known}
-        if retired and config.get("num_workers", 1) <= 1:
+        if retired & _FOLDED_TRAINING_KNOBS and config.get("num_workers", 1) <= 1:
             # Written before the training paths were folded into one step
             # (it still carries knobs retired then).  Its partial_fit always
             # ran the whole-batch step, the one-shard step now; keep that

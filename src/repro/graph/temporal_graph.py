@@ -572,17 +572,20 @@ class TemporalGraph:
         """Distinct-neighbor CSR: sorted unique neighbors with multiplicities."""
         n = self._n
         idx = self._index_dtype
-        owner = np.repeat(np.arange(n, dtype=idx), self._degree)
-        order = np.lexsort((self._inc_nbr, owner))
-        s_owner = owner[order]
-        s_nbr = self._inc_nbr[order]
-        first = np.ones(s_nbr.size, dtype=bool)
-        if s_nbr.size:
-            first[1:] = (s_nbr[1:] != s_nbr[:-1]) | (s_owner[1:] != s_owner[:-1])
+        # (owner, neighbor) pairs encoded as owner * n + neighbor: one
+        # integer sort puts them in lexicographic pair order.
+        keys = np.repeat(np.arange(n, dtype=np.int64), self._degree)
+        keys *= n
+        keys += self._inc_nbr
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        if keys.size:
+            first[1:] = keys[1:] != keys[:-1]
         starts = np.flatnonzero(first)
-        dnbr = s_nbr[starts]
-        mult = np.diff(np.append(starts, s_nbr.size)).astype(np.float64)
-        dcounts = np.bincount(s_owner[starts], minlength=n)
+        s_owner, dnbr = np.divmod(keys[starts], n)
+        dnbr = dnbr.astype(idx)
+        mult = np.diff(np.append(starts, keys.size)).astype(np.float64)
+        dcounts = np.bincount(s_owner, minlength=n)
         dindptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(dcounts, out=dindptr[1:])
         self._distinct = (dindptr.astype(idx, copy=False), dnbr, mult)

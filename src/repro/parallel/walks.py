@@ -87,7 +87,7 @@ class ParallelWalkEngine:
         Start nodes per shard — with ``shard_size >= len(nodes)`` a request
         is one shard.  Part of the sampling scheme: changing it changes
         which substream a node's walks draw from (worker counts do not).
-    p, q, decay, real_dtype, candidate_cap:
+    p, q, decay, real_dtype:
         Forwarded to every :class:`~repro.walks.engine.BatchedWalkEngine`.
     """
 
@@ -100,7 +100,6 @@ class ParallelWalkEngine:
         q: float = 1.0,
         decay: float = 1.0,
         real_dtype=np.float64,
-        candidate_cap: int = 0,
     ):
         check_non_negative("num_workers", num_workers)
         check_positive("shard_size", shard_size)
@@ -112,13 +111,7 @@ class ParallelWalkEngine:
             self._own_graph = False
         self.num_workers = int(num_workers)
         self.shard_size = int(shard_size)
-        engine_kwargs = dict(
-            p=p,
-            q=q,
-            decay=decay,
-            real_dtype=np.dtype(real_dtype).str,
-            candidate_cap=candidate_cap,
-        )
+        engine_kwargs = dict(p=p, q=q, decay=decay, real_dtype=np.dtype(real_dtype).str)
         self._local = BatchedWalkEngine(self._graph, **engine_kwargs)
         self._pool = (
             spawn_pool(

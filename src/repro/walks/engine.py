@@ -9,14 +9,12 @@ operations over flat CSR arrays from
 :meth:`~repro.graph.temporal_graph.TemporalGraph.incidence_csr`, regardless of
 the batch size —
 
-- the candidate events of every active walk are fetched with one ragged
-  gather over the flat incidence arrays;
 - the historical cut (``time <= t_last``) is a vectorized per-segment binary
   search, ``O(log deg)`` lockstep iterations for the whole batch;
-- Eq. 1 decay kernels and Eq. 2 node2vec biases are evaluated element-wise on
-  the flattened candidate set;
-- transitions are sampled with one cumulative-sum + ``searchsorted`` (temporal
-  walks) or one :class:`~repro.utils.alias.PackedAliasTables` draw (node2vec),
+- temporal hops sample Eq. 1 exactly in ``O(log deg)`` from a row-local log
+  prefix-sum index built once per engine (no candidate gather), and apply
+  Eq. 2's node2vec bias by rejection — see :meth:`BatchedWalkEngine._temporal_raw`;
+- node2vec hops draw from :class:`~repro.utils.alias.PackedAliasTables`,
   consuming the shared RNG stream in walk order.
 
 **Batch-size-1 contract.** With a batch of one walk, the engine consumes the
@@ -45,22 +43,127 @@ from repro.walks.base import Walk, WalkBatch
 
 _I64 = np.int64
 
+#: Proposals every pending walk draws per rejection round of a biased hop.
+PROPOSALS = 8
 
-def _ragged_gather(starts: np.ndarray, stops: np.ndarray):
-    """Flat indices covering ``[starts[i], stops[i])`` for every segment.
+#: A row whose Eq. 1 terms span more than ``exp(-_LINEAR_SPAN)`` would
+#: underflow a linear prefix sum, so it is accumulated in log space instead.
+_LINEAR_SPAN = 700.0
 
-    Returns ``(flat, lens, offsets)`` where ``flat`` concatenates the ranges,
-    ``lens`` are the per-segment lengths and ``offsets`` the CSR boundaries of
-    the concatenation (``offsets[i]:offsets[i+1]`` is segment ``i``).
+#: Index build: rows up to this degree are grouped by exact degree (no
+#: padding), longer ones by the next power of two; a block holds at most
+#: ``_BUILD_BLOCK`` cells (bounds the build's scratch memory).
+_EXACT_WIDTH = 64
+_BUILD_BLOCK = 1 << 17
+
+
+def eq1_log_terms(weights, times01, decay: float) -> np.ndarray:
+    """``log(w · exp(decay · t01))`` per event.
+
+    Eq. 1's weight ``w · exp(-decay · (t_ctx - t))`` is this term times
+    ``exp(-decay · t_ctx)``, a factor shared by every candidate of a hop, so
+    the term alone fixes the hop's law for any anchor.  Zero weights give
+    ``-inf`` (an event that is never picked).
     """
-    lens = stops - starts
-    offsets = np.zeros(lens.size + 1, dtype=_I64)
-    np.cumsum(lens, out=offsets[1:])
-    total = int(offsets[-1])
-    if total == 0:
-        return np.empty(0, dtype=_I64), lens, offsets
-    flat = np.repeat(starts - offsets[:-1], lens) + np.arange(total, dtype=_I64)
-    return flat, lens, offsets
+    with np.errstate(divide="ignore"):
+        return np.log(weights) + decay * times01
+
+
+def log_prefix_rows(terms: np.ndarray) -> np.ndarray:
+    """Row-local ``log(cumsum(exp(terms)))`` of a ``(rows, width)`` block.
+
+    Each row is rebased to its largest term and summed in linear space,
+    ``top + log(cumsum(exp(terms - top)))``, which cannot overflow.  A row
+    with a term below ``top - _LINEAR_SPAN`` (a zero weight included) would
+    underflow there, so it is accumulated with ``logaddexp`` instead.  Rows
+    may be padded on the right with NaN, which leaves their prefix alone; a
+    row without mass stays ``-inf``.  Every row is computed on its own, so
+    one row passed as a ``(1, width)`` block gives the same bits as inside a
+    larger block.
+    """
+    top = np.fmax.reduce(terms, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = terms - top
+        wide = (out < -_LINEAR_SPAN).any(axis=1)
+        np.exp(out, out=out)
+        np.cumsum(out, axis=1, out=out)
+        np.log(out, out=out)
+        out += top
+        if wide.any():
+            out[wide] = np.logaddexp.accumulate(terms[wide], axis=1)
+    out[top[:, 0] == -np.inf] = -np.inf
+    return out
+
+
+def _sampling_index(indptr, times, weights, scale_times, decay: float):
+    """The temporal sampler's index over an incidence CSR.
+
+    ``indptr``/``times``/``weights`` are the CSR arrays of
+    :meth:`~repro.graph.temporal_graph.TemporalGraph.incidence_csr` and
+    ``scale_times`` the graph's map onto the [0, 1] time scale.
+
+    Returns ``(log_prefix, locator)``:
+
+    - ``log_prefix[k]`` is ``log`` of the row-local prefix sum of the Eq. 1
+      terms (:func:`eq1_log_terms`) from its row's start through ``k`` —
+      non-decreasing within every row;
+    - ``locator[k] = 2·row + exp(log_prefix[k] - log_prefix[row_end])`` lies
+      in ``[2·row, 2·row + 1]`` and is globally non-decreasing, so one
+      ``searchsorted`` places proposals of any rows at once.  It is only a
+      hint: proposals are checked against ``log_prefix``.
+
+    Rows are grouped by width — their degree up to :data:`_EXACT_WIDTH`,
+    the next power of two above — and built in blocks of at most
+    :data:`_BUILD_BLOCK` cells with :func:`log_prefix_rows`.
+    """
+    nnz = int(indptr[-1])
+    # The terms are computed in place first; every block reads its own rows'
+    # terms and overwrites them with prefixes.  Padding cells read the NaN
+    # in slot nnz and write to slot nnz + 1.
+    log_prefix = np.empty(nnz + 2, dtype=np.float64)
+    for s in range(0, nnz, _BUILD_BLOCK):
+        e = min(s + _BUILD_BLOCK, nnz)
+        log_prefix[s:e] = eq1_log_terms(weights[s:e], scale_times(times[s:e]), decay)
+    log_prefix[nnz] = np.nan
+    locator = np.empty(nnz + 2, dtype=np.float64)
+    deg = np.diff(indptr).astype(_I64)
+    rows = np.flatnonzero(deg)
+    widths = deg[rows]
+    wide = widths > _EXACT_WIDTH
+    widths[wide] = np.left_shift(1, np.ceil(np.log2(widths[wide])).astype(_I64))
+    for width in np.unique(widths):
+        group = rows[widths == width]
+        cols = np.arange(width, dtype=_I64)
+        step = max(1, _BUILD_BLOCK // int(width))
+        for b in range(0, group.size, step):
+            r = group[b : b + step]
+            d = deg[r]
+            pad = cols >= d[:, None]
+            idx = np.where(pad, nnz, indptr[r].astype(_I64)[:, None] + cols)
+            lp = log_prefix_rows(log_prefix[idx])
+            total = lp[np.arange(r.size, dtype=_I64), d - 1][:, None]
+            with np.errstate(invalid="ignore"):
+                frac = np.exp(lp - total)
+            frac[~(total[:, 0] > -np.inf)] = 0.0
+            frac += 2.0 * r[:, None]
+            idx += pad
+            log_prefix[idx] = lp
+            locator[idx] = frac
+    return log_prefix[:nnz], locator[:nnz]
+
+
+def acceptance_ratios(p: float, q: float) -> np.ndarray | None:
+    """Eq. 2's bias over its maximum, per move kind, or None when flat.
+
+    Entries are for a return to the previous node (``1/p``), a move to one
+    of its neighbors (``1``) and a move farther out (``1/q``), each divided
+    by ``max(1/p, 1, 1/q)``: a proposal drawn from Eq. 1 and accepted with
+    this probability is exactly Eq. 1 × Eq. 2.
+    """
+    beta = np.array([1.0 / p, 1.0, 1.0 / q])
+    if np.all(beta == 1.0):
+        return None
+    return beta / beta.max()
 
 
 class BatchedWalkEngine:
@@ -83,23 +186,10 @@ class BatchedWalkEngine:
         about half the reference mode's bytes.  Timestamps and sampling
         weights always stay ``float64`` internally: walk *selection* is
         precision-independent, only the emitted batch narrows.
-    candidate_cap:
-        Cap on a node's per-hop candidate set in the temporal family; 0
-        (default) keeps the exact, uncapped behavior bitwise-unchanged.
-        With ``cap > 0``, a hop out of a hub gathers only that node's
-        ``cap`` *most recent* historical events instead of its entire
-        history, turning the per-hop cost from O(degree) into O(cap).
 
-        **Sampling note.**  This truncates Eq. 1's candidate distribution:
-        the dropped events are the *oldest* ones, whose weights
-        ``w · exp(-decay · dt)`` are the smallest under the exponential
-        decay, so for any ``decay > 0`` the removed probability mass decays
-        exponentially in the hub's history length and the capped
-        distribution is a close renormalization of the exact one.  With
-        ``decay = 0`` (uniform-in-history) the cap changes semantics to
-        "the ``cap`` most recent events" — choose it deliberately there.
-        Walks on capped engines are *not* bitwise-comparable to uncapped
-        ones on graphs containing nodes above the cap.
+    The temporal family's sampling index (:func:`_sampling_index`) is built
+    here, once per engine: it depends on ``decay`` and on the graph's
+    time scale (``scale_times``) at build time.
     """
 
     def __init__(
@@ -109,25 +199,21 @@ class BatchedWalkEngine:
         q: float = 1.0,
         decay: float = 1.0,
         real_dtype=np.float64,
-        candidate_cap: int = 0,
     ) -> None:
         check_positive("p", p)
         check_positive("q", q)
         check_non_negative("decay", decay)
-        check_non_negative("candidate_cap", candidate_cap)
         self.graph = graph
         self._real = np.dtype(real_dtype)
         self._idx = graph.index_dtype
         self.p = float(p)
         self.q = float(q)
         self.decay = float(decay)
-        self.candidate_cap = int(candidate_cap)
-        indptr, nbr, times, weights, eids = graph.incidence_csr()
+        self._accept = acceptance_ratios(self.p, self.q)
+        indptr, nbr, times, weights, _ = graph.incidence_csr()
         self._indptr = indptr
         self._inc_nbr = nbr
         self._inc_time = times
-        self._inc_weight = weights
-        self._inc_t01 = graph.times01()[eids]
         dindptr, dnbr, dmult = graph.distinct_csr()
         self._dindptr = dindptr
         self._dnbr = dnbr
@@ -138,31 +224,56 @@ class BatchedWalkEngine:
         # sorted and adjacency tests become one searchsorted for any batch.
         owners = np.repeat(np.arange(graph.num_nodes, dtype=_I64), self._ddeg)
         self._pair_keys = owners * graph.num_nodes + dnbr
+        del owners  # freed before the index build, which lowers peak memory
+        self._log_prefix, self._locator = _sampling_index(
+            indptr, times, weights, graph.scale_times, self.decay
+        )
         self._first_tables: PackedAliasTables | None = None
         self._pair_cache: dict = {}
 
     # ------------------------------------------------------------------
     # vectorized binary searches over the flat CSR arrays
     # ------------------------------------------------------------------
-    def _search_time(self, lo, hi, t, inclusive) -> np.ndarray:
-        """Per-segment ``searchsorted`` on the incidence time column.
+    @staticmethod
+    def _bisect(values, lo, hi, bound) -> np.ndarray:
+        """Per-segment ``searchsorted`` on a flat array sorted within segments.
 
         For every walk ``i`` returns the first index in ``[lo[i], hi[i])``
-        whose event time exceeds ``t[i]`` (``inclusive``) or reaches it
-        (``not inclusive``) — i.e. ``side='right'`` / ``side='left'`` of
-        :func:`numpy.searchsorted`, batched over segments.
+        whose value is not below ``bound[i]`` (``hi[i]`` if none) — i.e.
+        ``side='left'`` of :func:`numpy.searchsorted`, batched over segments
+        in branch-free lockstep.  ``np.nextafter(t, np.inf)`` as the bound
+        gives ``side='right'`` of ``t``.
         """
         lo = lo.astype(_I64, copy=True)
-        hi = hi.astype(_I64, copy=True)
-        act = np.flatnonzero(lo < hi)
-        while act.size:
-            mid = (lo[act] + hi[act]) >> 1
-            tm = self._inc_time[mid]
-            right = np.where(inclusive[act], tm <= t[act], tm < t[act])
-            lo[act[right]] = mid[right] + 1
-            hi[act[~right]] = mid[~right]
-            act = act[lo[act] < hi[act]]
+        n = hi - lo
+        for _ in range(int(n.max(initial=0)).bit_length()):
+            half = n >> 1
+            mid = lo + half
+            right = (values.take(mid, mode="clip") < bound) & (n > 0)
+            lo = np.where(right, mid + 1, lo)
+            n = np.where(right, n - half - 1, half)
         return lo
+
+    def _locate(self, lo, cut, row, total, target) -> np.ndarray:
+        """Invert Eq. 1's row-local CDF: the index ``k`` in ``[lo, cut)`` with
+        ``log_prefix[k-1] <= target < log_prefix[k]`` (``cut - 1`` if none).
+
+        One global ``searchsorted`` on the locator proposes ``k`` for every
+        target; each proposal is checked against the exact ``log_prefix``
+        and only the misses (locator rounding, or an underflowed locator
+        fraction) are bisected in lockstep.  ``total`` is the row's whole
+        log mass, ``log_prefix[row_end]``.
+        """
+        lp = self._log_prefix
+        hint = 2.0 * row + np.exp(target - total)
+        k = np.searchsorted(self._locator, hint, side="right")
+        ok = (k >= lo) & (k <= cut)
+        ok &= (k == cut) | (lp[np.minimum(k, lp.size - 1)] > target)
+        ok &= (k == lo) | (lp[np.maximum(k - 1, 0)] <= target)
+        miss = np.flatnonzero(~ok)
+        if miss.size:
+            k[miss] = self._bisect(lp, lo[miss], cut[miss], np.nextafter(target[miss], np.inf))
+        return np.minimum(k, cut - 1)
 
     def _adjacent(self, prev, cand) -> np.ndarray:
         """Whether ``cand[i]`` is a distinct neighbor of ``prev[i]`` (vectorized).
@@ -223,6 +334,24 @@ class BatchedWalkEngine:
         walk's length are uninitialized.  Shared by the ``Walk``-emitting
         path and the array-native :meth:`temporal_walk_batch` fast path, so
         both consume the RNG stream identically.
+
+        Every hop of every active walk is, in lockstep:
+
+        1. the historical cut ``[lo, cut)`` of the current node's row;
+        2. its Eq. 1 log mass ``log_prefix[cut - 1]``; a walk with no
+           history or only zero-weight history terminates;
+        3. an exact Eq. 1 draw: the index whose row-local prefix first
+           exceeds ``u · P[cut - 1]``, i.e. ``log_prefix`` exceeds
+           ``log_prefix[cut - 1] + log(u)`` (:meth:`_locate`);
+        4. on hops with a previous node, Eq. 2's bias by rejection: each
+           pending walk draws :data:`PROPOSALS` positions, then as many
+           acceptance coins, and keeps its first proposal whose coin falls
+           under :func:`acceptance_ratios`; walks with none accepted draw
+           another block.
+
+        RNG draw order per hop: one ``random(n)`` for a first (or unbiased)
+        hop; otherwise per round ``random((m, PROPOSALS))`` positions then
+        ``random((m, PROPOSALS))`` coins for the ``m`` pending walks.
         """
         check_positive("length", length)
         rng = ensure_rng(rng)
@@ -234,91 +363,74 @@ class BatchedWalkEngine:
         nodes_buf[:, 0] = starts
         lengths = np.ones(b, dtype=_I64)
 
-        t_ctx01 = self.graph.scale_times(anchors)
         cur = starts.copy()
         prev = np.full(b, -1, dtype=_I64)
-        t_last = anchors.copy()
-        inclusive = np.full(b, bool(include_context), dtype=bool)
+        # The cut keeps events with time below ``bound``: strictly before
+        # the anchor on the first hop (unless ``include_context``), then at
+        # or before the last traversed edge (non-increasing times).
+        bound = np.nextafter(anchors, np.inf) if include_context else anchors.copy()
         active = np.arange(b, dtype=_I64)
 
-        for _ in range(length):
+        for hop in range(length):
             if active.size == 0:
                 break
             c = cur[active]
-            lo = self._indptr[c]
-            cut = self._search_time(lo, self._indptr[c + 1], t_last[active], inclusive[active])
-            has = cut > lo
-            active = active[has]
-            if active.size == 0:
-                break
-            start = lo[has]
-            if self.candidate_cap:
-                # Hub windowing: gather only the ``candidate_cap`` most
-                # recent historical events instead of a hub's whole history.
-                # The incidence rows are time-sorted, so the window is the
-                # tail of ``[lo, cut)`` — the events Eq. 1's exponential
-                # decay weights highest; the truncated head carries the
-                # smallest weights, so the sampling bias is tiny (see the
-                # class docstring's sampling note).
-                start = np.maximum(start, cut[has] - self.candidate_cap)
-            flat, lens, offs = _ragged_gather(start, cut[has])
-            cand_nbr = self._inc_nbr[flat]
-            walk_of = np.repeat(np.arange(active.size, dtype=_I64), lens)
-
-            # Eq. 1 kernel on the [0, 1] time scale.
-            dt = t_ctx01[active][walk_of] - self._inc_t01[flat]
-            wts = self._inc_weight[flat] * np.exp(-self.decay * dt)
-
-            # Eq. 2 search bias, for walks that already have a previous node.
-            has_prev = prev[active][walk_of] >= 0
-            if has_prev.any():
-                pv = prev[active][walk_of][has_prev]
-                cd = cand_nbr[has_prev]
-                beta = np.where(self._adjacent(pv, cd), 1.0, 1.0 / self.q)
-                beta[cd == pv] = 1.0 / self.p
-                wts[has_prev] = wts[has_prev] * beta
-
-            # Per-segment CDF sampling: the global cumulative sum is
-            # monotone, so one searchsorted serves every walk.  Segment
-            # totals need care: differencing the global cumsum cancels
-            # catastrophically when one walk's weights are tiny next to the
-            # accumulated prefix of its batch neighbors, spuriously
-            # terminating it — so multi-segment batches total each segment
-            # independently with reduceat.  A lone active walk keeps the
-            # cumsum total (the subtraction of prefix 0.0 is exact), which
-            # makes every batch-size-1 call reduce to the reference per-node
-            # computation bit for bit — reduceat's pairwise summation would
-            # not.  Within-segment picks read the global cumsum either way;
-            # quantization there only biases *which* valid candidate wins in
-            # extreme (>15 orders of magnitude) mixed batches.
-            cdf = np.cumsum(wts)
-            seg_lo = offs[:-1]
-            seg_hi = offs[1:]
-            prefix = np.where(seg_lo > 0, cdf[np.maximum(seg_lo - 1, 0)], 0.0)
-            if seg_lo.size == 1:
-                total = cdf[seg_hi - 1]
-            else:
-                total = np.add.reduceat(wts, seg_lo)
-            ok = (total > 0) & np.isfinite(total)
+            lo = self._indptr[c].astype(_I64)
+            hi = self._indptr[c + 1].astype(_I64)
+            cut = self._bisect(self._inc_time, lo, hi, bound[active])
+            mass = self._log_prefix[cut - 1]  # wraps harmlessly where cut == 0
+            ok = (cut > lo) & (mass > -np.inf)
             active = active[ok]
             if active.size == 0:
                 break
-            keep = np.flatnonzero(ok)
-            u = rng.random(active.size)
-            target = prefix[keep] + u * total[keep]
-            pick = np.searchsorted(cdf, target, side="right")
-            pick = np.clip(pick, seg_lo[keep], seg_hi[keep] - 1)
+            c, lo, hi, cut, mass = c[ok], lo[ok], hi[ok], cut[ok], mass[ok]
+            total = self._log_prefix[hi - 1]
+            if hop == 0 or self._accept is None:
+                target = mass + np.log(rng.random(active.size))
+                pick = self._locate(lo, cut, c, total, target)
+            else:
+                pick = self._propose(lo, cut, c, total, mass, prev[active], rng)
 
-            nxt = cand_nbr[pick]
-            etime = self._inc_time[flat[pick]]
+            nxt = self._inc_nbr[pick]
+            etime = self._inc_time[pick]
             prev[active] = cur[active]
             cur[active] = nxt
             nodes_buf[active, lengths[active]] = nxt
             times_buf[active, lengths[active] - 1] = etime
             lengths[active] += 1
-            t_last[active] = etime
-            inclusive[active] = True  # later hops: non-increasing times
+            bound[active] = np.nextafter(etime, np.inf)
         return nodes_buf, times_buf, lengths
+
+    def _propose(self, lo, cut, row, total, mass, prev, rng) -> np.ndarray:
+        """Eq. 1 × Eq. 2 picks by blocked rejection (see :meth:`_temporal_raw`).
+
+        ``prev`` is each walk's previous node — the node the hop leaves is
+        ``row``, so a candidate equal to ``prev`` is a return move.  A coin
+        below the smallest ratio accepts whatever was proposed, so the
+        proposals after a walk's first such coin are never looked up.
+        """
+        pick = np.empty(lo.size, dtype=_I64)
+        pending = np.arange(lo.size, dtype=_I64)
+        while pending.size:
+            m = pending.size
+            pos = rng.random((m, PROPOSALS))
+            coin = rng.random((m, PROPOSALS))
+            sure = coin < self._accept.min()
+            w, j = np.nonzero(np.cumsum(sure, axis=1) - sure == 0)
+            walk = pending[w]
+            target = mass[walk] + np.log(pos[w, j])
+            k = self._locate(lo[walk], cut[walk], row[walk], total[walk], target)
+            cand = self._inc_nbr[k]
+            back = prev[walk]
+            kind = np.where(cand == back, 0, np.where(self._adjacent(back, cand), 1, 2))
+            accepted = np.zeros((m, PROPOSALS), dtype=bool)
+            accepted[w, j] = coin[w, j] < self._accept[kind]
+            picks = np.empty((m, PROPOSALS), dtype=_I64)
+            picks[w, j] = k
+            hit = accepted.any(axis=1)
+            pick[pending[hit]] = picks[hit, accepted.argmax(axis=1)[hit]]
+            pending = pending[~hit]
+        return pick
 
     # ------------------------------------------------------------------
     # uniform walks (DeepWalk / GraphSAGE-style fallback)
@@ -562,15 +674,15 @@ class BatchedWalkEngine:
         cur = second.copy()
         t_cur = t.copy()
         active = np.arange(b, dtype=_I64)
-        strictly_after = np.ones(b, dtype=bool)  # searchsorted side='right'
 
         for _ in range(length - 1):
             if active.size == 0:
                 break
             c = cur[active]
             hi = self._indptr[c + 1]
-            cut = self._search_time(
-                self._indptr[c], hi, t_cur[active], strictly_after[active]
+            # strictly newer events: side='right' of the current time
+            cut = self._bisect(
+                self._inc_time, self._indptr[c], hi, np.nextafter(t_cur[active], np.inf)
             )
             count = hi - cut
             has = count > 0

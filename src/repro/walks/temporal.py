@@ -22,10 +22,10 @@ terminate early when no historical edge remains.
 Sampling is delegated to the vectorized
 :class:`~repro.walks.engine.BatchedWalkEngine`: :meth:`TemporalWalker.walk`
 runs a batch of one, :meth:`TemporalWalker.walks` advances all ``k`` walks of
-a target in lockstep.  The pre-engine per-node loop survives as
-:meth:`TemporalWalker.walk_sequential` — it is the reference the engine is
-bitwise-checked against at batch size 1, and the baseline the walk-engine
-benchmark measures speedups over.
+a target in lockstep.  :meth:`TemporalWalker.walk_sequential` runs the same
+exact sampler one walk and one hop at a time — it is the reference the
+engine is bitwise-checked against at batch size 1, and the baseline the
+walk-engine benchmark measures speedups over.
 """
 
 from __future__ import annotations
@@ -36,7 +36,18 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_non_negative, check_positive
 from repro.walks.base import Walk
-from repro.walks.engine import BatchedWalkEngine
+from repro.walks.engine import (
+    PROPOSALS,
+    BatchedWalkEngine,
+    acceptance_ratios,
+    eq1_log_terms,
+    log_prefix_rows,
+)
+
+
+def _invert(log_prefix: np.ndarray, target: float) -> int:
+    """The first index whose log prefix exceeds ``target`` (the last if none)."""
+    return min(int(np.searchsorted(log_prefix, target, side="right")), log_prefix.size - 1)
 
 
 class TemporalWalker:
@@ -86,25 +97,22 @@ class TemporalWalker:
                 f"walker's ({p}, {q}, {decay})"
             )
         self.engine = engine
-        self._times01 = graph.times01()
 
     # ------------------------------------------------------------------
-    def _kernel(self, t_context01: float, edge_ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Eq. 1 on the normalized time scale."""
-        dt = t_context01 - self._times01[edge_ids]
-        return weights * np.exp(-self.decay * dt)
+    def _row_log_prefix(self, times: np.ndarray, edge_ids: np.ndarray) -> np.ndarray:
+        """Eq. 1's log prefix sums over one node's whole incidence row."""
+        graph = self.graph
+        terms = eq1_log_terms(graph.weight[edge_ids], graph.scale_times(times), self.decay)
+        return log_prefix_rows(terms[None, :])[0]
 
-    def _beta(self, prev: int, candidates: np.ndarray) -> np.ndarray:
-        """Eq. 2 search bias for each candidate next node (vectorized)."""
+    def _move_kind(self, prev: int, candidate: int) -> int:
+        """Eq. 2's case for a move to ``candidate``: 0 return, 1 a neighbor
+        of ``prev``, 2 farther out (indexes :func:`acceptance_ratios`)."""
+        if candidate == prev:
+            return 0
         nbrs = self.graph.neighbors(prev)
-        pos = np.searchsorted(nbrs, candidates)
-        pos = np.minimum(pos, nbrs.size - 1) if nbrs.size else pos
-        adjacent = (
-            nbrs[pos] == candidates if nbrs.size else np.zeros(candidates.size, bool)
-        )
-        beta = np.where(adjacent, 1.0, 1.0 / self.q)
-        beta[candidates == prev] = 1.0 / self.p
-        return beta
+        pos = int(np.searchsorted(nbrs, candidate))
+        return 1 if pos < nbrs.size and nbrs[pos] == candidate else 2
 
     # ------------------------------------------------------------------
     def walk(
@@ -144,16 +152,19 @@ class TemporalWalker:
         rng=None,
         include_context: bool = False,
     ) -> Walk:
-        """The pre-engine per-node loop (reference implementation).
+        """The per-node loop (reference implementation).
 
-        Semantics match :meth:`walk` bit for bit under the same RNG state;
-        kept as the bitwise ground truth for the engine's batch-size-1
-        contract and as the benchmark baseline.
+        Samples the engine's scheme one walk at a time, from scratch: each
+        hop recomputes the node's row of Eq. 1 log prefix sums, inverts it
+        with a plain ``searchsorted``, and applies Eq. 2 by the same blocked
+        rejection with the same draws.  Semantics match :meth:`walk` bit for
+        bit under the same RNG state; kept as the bitwise ground truth for
+        the engine's batch-size-1 contract and as the benchmark baseline.
         """
         check_positive("length", length)
         rng = ensure_rng(rng)
         graph = self.graph
-        t_context01 = graph.scale_time(t_context)
+        accept = acceptance_ratios(self.p, self.q)
 
         nodes = [int(start)]
         edge_times: list[float] = []
@@ -163,22 +174,30 @@ class TemporalWalker:
 
         for _ in range(length):
             cur = nodes[-1]
-            nbrs, _times, eids = graph.events_before(cur, t_last, inclusive=inclusive)
-            if nbrs.size == 0:
+            nbrs, times, eids = graph.incident(cur)
+            cut = int(np.searchsorted(times, t_last, side="right" if inclusive else "left"))
+            if cut == 0:
                 break
-            weights = self._kernel(t_context01, eids, graph.weight[eids])
-            if prev is not None:
-                weights = weights * self._beta(prev, nbrs)
-            cdf = np.cumsum(weights)
-            total = cdf[-1]
-            if total <= 0 or not np.isfinite(total):
+            log_prefix = self._row_log_prefix(times, eids)[:cut]
+            mass = log_prefix[-1]
+            if not mass > -np.inf:
                 break
-            pick = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-            pick = min(pick, nbrs.size - 1)
+            if prev is None or accept is None:
+                pick = _invert(log_prefix, mass + np.log(rng.random(1))[0])
+            else:
+                pick = None
+                while pick is None:
+                    targets = mass + np.log(rng.random(PROPOSALS))
+                    coins = rng.random(PROPOSALS)
+                    for target, coin in zip(targets, coins):
+                        k = _invert(log_prefix, target)
+                        if coin < accept[self._move_kind(prev, int(nbrs[k]))]:
+                            pick = k
+                            break
             prev = cur
             nodes.append(int(nbrs[pick]))
-            edge_times.append(float(graph.time[eids[pick]]))
-            t_last = float(graph.time[eids[pick]])
+            edge_times.append(float(times[pick]))
+            t_last = float(times[pick])
             inclusive = True  # later hops: non-increasing times (Eq. 2, case 4)
         return Walk(nodes=nodes, edge_times=edge_times)
 

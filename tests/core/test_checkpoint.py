@@ -68,6 +68,27 @@ class TestEHNARoundtrip:
         assert loaded.graph.num_edges == graph.num_edges + 2
         assert np.all(np.isfinite(loaded.embeddings()))
 
+    def test_retired_candidate_cap_loads_and_trains(self, graph, tmp_path):
+        # Checkpoints written while EHNAConfig had the candidate_cap knob
+        # carry it in their header; loading drops it and nothing else.
+        model = EHNA(seed=0, parallel_shards=2, **FAST).fit(graph)
+        path = model.save(tmp_path / "m.npz")
+        with np.load(path, allow_pickle=False) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        header = json.loads(str(payload["__checkpoint_header__"]))
+        header["config"]["candidate_cap"] = 64
+        payload["__checkpoint_header__"] = np.asarray(json.dumps(header))
+        np.savez(path, **payload)
+
+        loaded = EHNA.load(path)
+        assert not hasattr(loaded.config, "candidate_cap")
+        assert loaded.config == model.config  # the shard layout is kept
+        np.testing.assert_array_equal(loaded.embeddings(), model.embeddings())
+        t_hi = graph.time_span[1]
+        loaded.partial_fit(([0, 1], [5, 6], [t_hi + 1.0, t_hi + 2.0]))
+        assert np.all(np.isfinite(loaded.embeddings()))
+        assert np.isfinite(loaded.loss_history[-1])
+
     def test_rng_stream_roundtrips(self, graph, tmp_path):
         model = EHNA(seed=42, **FAST).fit(graph)
         path = model.save(tmp_path / "m.npz")

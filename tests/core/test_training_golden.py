@@ -2,11 +2,12 @@
 
 ``tests/golden/training.json`` holds, per case, the ``loss_history`` and a
 SHA-256 digest of ``embeddings()`` after ``fit`` on the older 80% of a tiny
-Digg graph and again after one ``partial_fit`` on the newest 20%.  The
-values were recorded before EHNA's three training paths were folded into
-one sharded step, so these tests pin that the fold moved nothing: one shard
-must replay the old single-process trajectory bit for bit, in both
-precisions and under every ablation switch.
+Digg graph and again after one ``partial_fit`` on the newest 20%, in both
+precisions and under every ablation switch.  The values were first recorded
+before EHNA's three training paths were folded into one sharded step (the
+fold reproduced them bit for bit), and re-recorded once when the temporal
+walk sampler moved to the exact prefix-sum scheme, which draws a different
+RNG stream from the same law.
 
 The ``checkpoint`` entry pins what ``tests/golden/ehna_33_fields.npz`` — a
 checkpoint written while ``EHNAConfig`` still had 33 fields — serves after

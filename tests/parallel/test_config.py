@@ -13,14 +13,11 @@ class TestParallelConfig:
         cfg = EHNAConfig()
         assert cfg.num_workers == 1
         assert cfg.parallel_shards == 1
-        assert cfg.candidate_cap == 0
         cfg.validate()
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             EHNAConfig(num_workers=-1).validate()
-        with pytest.raises(ValueError):
-            EHNAConfig(candidate_cap=-1).validate()
         with pytest.raises(ValueError):
             EHNAConfig(parallel_shards=0).validate()
 

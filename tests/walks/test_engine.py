@@ -176,9 +176,10 @@ class TestBatchedInvariants:
     def test_mixed_weight_scales_do_not_starve_tiny_walks(self):
         """A walk with tiny weights must survive huge-weight batch neighbors.
 
-        Regression test: differencing the global cumsum for segment totals
-        cancels catastrophically when a segment's weights are ~20 orders of
-        magnitude below the batch prefix, spuriously terminating the walk.
+        Regression test: differencing one cumsum shared by the whole batch
+        for segment totals cancels catastrophically when a segment's weights
+        are ~20 orders of magnitude below the batch prefix, spuriously
+        terminating the walk.  Row-local prefix sums rule this out.
         """
         g = TemporalGraph.from_edges(
             np.array([0, 0, 2, 2]),

@@ -395,7 +395,7 @@ PARAMS_EXPORTS = ("FlatParams", "FlatAdam", "ParamGroup", "ParamSpec")
 GRAPH_SHARED_CALLABLES = ("to_shared", "from_handle")
 
 #: Config knobs EHNA's training step and its worker pool key on.
-PARALLEL_CONFIG_FIELDS = ("num_workers", "parallel_shards", "candidate_cap")
+PARALLEL_CONFIG_FIELDS = ("num_workers", "parallel_shards")
 
 
 def check_parallel_surface() -> list[str]:
