@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-parallel bench bench-train bench-precision bench-streaming bench-scale bench-parallel bench-all docs-check quickstart lint api-check check reprolint lint-report tables
+.PHONY: test test-stream test-faults test-parallel bench bench-precision bench-streaming bench-scale bench-parallel bench-all docs-check quickstart lint api-check check reprolint lint-report tables
 
 ## Tier-1 test suite (the gate every change must keep green).  Runs all
 ## four static gates first (see `make check`), then the pytest suite.
@@ -54,11 +54,6 @@ lint:
 ## Fast walk-engine benchmark (asserts the >=5x batched speedup).
 bench:
 	$(PY) -m pytest benchmarks/bench_walk_engine.py -q -s
-
-## Train-step benchmark (asserts the >=1.5x fused-kernel speedup and the
-## fused-vs-reference loss-trajectory match).
-bench-train:
-	$(PY) -m pytest benchmarks/bench_train_step.py -q -s
 
 ## Precision-policy benchmark (float32 >=1.5x train-step speedup, ~2x
 ## walk-buffer memory reduction, link-prediction AUC parity).

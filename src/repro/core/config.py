@@ -58,11 +58,6 @@ class EHNAConfig:
     # Loss geometry: "euclidean" (the paper's metric-space argument) or
     # "dot" (the word2vec-style similarity it argues against; ablation).
     objective: str = "euclidean"
-    # Fused aggregation kernels: array-native WalkBatch construction in the
-    # walk engine plus the single-node BPTT LSTM.  Numerically equivalent to
-    # the reference path (Walk objects + batch_walks + stepwise StackedLSTM),
-    # which False selects for ablations and the training-math smoke gate.
-    fused_kernels: bool = True
     # Data parallelism.  Every training step splits its batch into
     # `parallel_shards` shards: each draws its negatives and walks, runs the
     # aggregation, loss and backward on its own, and the gradients are

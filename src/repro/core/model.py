@@ -34,7 +34,7 @@ import dataclasses
 import numpy as np
 
 from repro.base import EmbeddingMethod, resolve_anchors
-from repro.core.aggregation import TwoLevelAggregator, batch_walks
+from repro.core.aggregation import TwoLevelAggregator
 from repro.core.config import EHNAConfig
 from repro.core.loss import margin_hinge_loss
 from repro.core.negative_sampling import NegativeSampler
@@ -47,14 +47,14 @@ from repro.nn.tensor import concat
 from repro.parallel.pool import shard_rng
 from repro.utils.checkpoint import CheckpointError
 from repro.utils.rng import ensure_rng
-from repro.walks.base import Walk
 from repro.walks.engine import BatchedWalkEngine
 from repro.walks.temporal import TemporalWalker
 
 #: Config keys of the training paths that were folded into one sharded step.
 #: A checkpoint carrying them predates the fold; ``_from_config`` drops every
-#: unknown key (``candidate_cap`` too, retired with the exact sampler) but
-#: only these reset the shard layout.
+#: unknown key (``candidate_cap`` too, retired with the exact sampler, and
+#: the switch of the retired second aggregation pipeline) but only these
+#: reset the shard layout.
 _FOLDED_TRAINING_KNOBS = frozenset(
     {"one_pass", "dedup_aggregations", "walk_cache_size", "walk_time_buckets", "parallel"}
 )
@@ -131,7 +131,6 @@ class EHNA(EmbeddingMethod):
             cfg.lstm_layers,
             cfg.two_level,
             rng,
-            fused=cfg.fused_kernels,
             dtype=self._precision.real,
         )
         self._build_sampling(graph)
@@ -343,17 +342,6 @@ class EHNA(EmbeddingMethod):
         self._final = self._final_embeddings()
         self._infer_seed = int(self._rng.integers(2**63 - 1))
 
-    def _aggregate(self, targets: np.ndarray, walk_sets, use_attention: bool):
-        cfg = self.config
-        batch = batch_walks(
-            walk_sets,
-            self.graph.scale_time,
-            chronological=cfg.chronological,
-            merge=not cfg.two_level,
-            real_dtype=self._precision.real,
-        )
-        return self._aggregate_batch(targets, batch, use_attention)
-
     def _aggregate_batch(self, targets: np.ndarray, batch, use_attention: bool):
         """One aggregator launch over an already padded :class:`WalkBatch`."""
         return self.aggregator(
@@ -377,11 +365,9 @@ class EHNA(EmbeddingMethod):
 
         Walk generation is batched: one lockstep engine call samples the
         temporal walks of every eligible node, and a second covers the
-        uniform fallback/ablation walks.  With ``fused_kernels`` the engine
-        emits padded :class:`WalkBatch` arrays directly (no ``Walk`` objects,
-        no Python re-padding); the reference path builds ``Walk`` sets and
-        pads them with :func:`batch_walks`.  Both paths consume the RNG
-        stream identically and feed the aggregator bitwise-identical arrays.
+        uniform fallback/ablation walks.  The engine emits padded
+        :class:`~repro.walks.base.WalkBatch` arrays directly, and each group
+        goes to the aggregator in one launch.
 
         ``rng`` defaults to the training stream; inference paths pass their
         own generator so serving queries never perturb training
@@ -400,83 +386,47 @@ class EHNA(EmbeddingMethod):
         static_mask = ~eligible
 
         temporal_idx = np.empty(0, dtype=np.int64)
-        temporal_batch = None
-        temporal_sets: list[list[Walk]] = []
+        parts = []
         if elig_idx.size:
-            if cfg.fused_kernels:
-                batch = self.engine.temporal_walk_batch(
-                    nodes[elig_idx],
-                    anchors[elig_idx],
-                    cfg.num_walks,
-                    cfg.walk_length,
-                    rng,
-                    include_context=include_context,
-                    chronological=cfg.chronological,
-                )
-                lengths = batch.row_lengths().reshape(elig_idx.size, cfg.num_walks)
-                has_history = lengths.max(axis=1) > 1
-                temporal_idx = elig_idx[has_history]
-                if temporal_idx.size:
-                    temporal_batch = batch.take_targets(np.flatnonzero(has_history))
-                    if not cfg.two_level:
-                        temporal_batch = temporal_batch.merged()
-            else:
-                sets = self.engine.temporal_walk_sets(
-                    nodes[elig_idx],
-                    anchors[elig_idx],
-                    cfg.num_walks,
-                    cfg.walk_length,
-                    rng,
-                    include_context=include_context,
-                )
-                has_history = np.fromiter(
-                    (any(len(w) > 1 for w in ws) for ws in sets),
-                    dtype=bool,
-                    count=len(sets),
-                )
-                temporal_idx = elig_idx[has_history]
-                temporal_sets = [s for s, h in zip(sets, has_history) if h]
+            batch = self.engine.temporal_walk_batch(
+                nodes[elig_idx],
+                anchors[elig_idx],
+                cfg.num_walks,
+                cfg.walk_length,
+                rng,
+                include_context=include_context,
+                chronological=cfg.chronological,
+            )
+            lengths = batch.row_lengths().reshape(elig_idx.size, cfg.num_walks)
+            has_history = lengths.max(axis=1) > 1
+            temporal_idx = elig_idx[has_history]
             # No usable history at the anchor: uniform fallback.
             static_mask[elig_idx[~has_history]] = True
+            if temporal_idx.size:
+                batch = batch.take_targets(np.flatnonzero(has_history))
+                if not cfg.two_level:
+                    batch = batch.merged()
+                parts.append(
+                    self._aggregate_batch(nodes[temporal_idx], batch, cfg.use_attention)
+                )
 
         static_idx = np.flatnonzero(static_mask)  # ascending, like the seed
-        static_batch = None
-        static_sets: list[list[Walk]] = []
         if static_idx.size:
             # EHNA-RW samples full-length static walks for every node; the
             # fallback neighborhood stays shallow (Section IV.D).
             length = (
                 cfg.walk_length if self.temporal_walker is None else cfg.fallback_hops
             )
-            if cfg.fused_kernels:
-                static_batch = self.engine.uniform_walk_batch(
-                    nodes[static_idx],
-                    cfg.num_walks,
-                    length,
-                    rng,
-                    chronological=cfg.chronological,
-                )
-                if not cfg.two_level:
-                    static_batch = static_batch.merged()
-            else:
-                static_sets = self.engine.uniform_walk_sets(
-                    nodes[static_idx], cfg.num_walks, length, rng
-                )
-
-        parts = []
-        if temporal_idx.size:
-            attention = cfg.use_attention and cfg.temporal_walks
-            parts.append(
-                self._aggregate_batch(nodes[temporal_idx], temporal_batch, attention)
-                if temporal_batch is not None
-                else self._aggregate(nodes[temporal_idx], temporal_sets, attention)
+            batch = self.engine.uniform_walk_batch(
+                nodes[static_idx],
+                cfg.num_walks,
+                length,
+                rng,
+                chronological=cfg.chronological,
             )
-        if static_idx.size:
-            parts.append(
-                self._aggregate_batch(nodes[static_idx], static_batch, False)
-                if static_batch is not None
-                else self._aggregate(nodes[static_idx], static_sets, False)
-            )
+            if not cfg.two_level:
+                batch = batch.merged()
+            parts.append(self._aggregate_batch(nodes[static_idx], batch, False))
         order = np.concatenate([temporal_idx, static_idx])
         stacked = parts[0] if len(parts) == 1 else concat(parts, axis=0)
         # Restore the caller's row order (getitem backward scatter-adds).

@@ -207,11 +207,11 @@ class LSTM(Module):
 class StackedLSTM(Module):
     """Multi-layer LSTM — the paper's aggregator (2 layers by default).
 
-    ``__call__`` is the stepwise *reference* implementation: one autograd
-    node per op per timestep per layer.  :meth:`fused` runs the same
-    recurrence through :func:`fused_stacked_lstm` — a single autograd node
-    with a hand-derived BPTT backward — and is gradcheck-verified against
-    this reference in ``tests/nn/test_fused_lstm.py``.
+    :meth:`fused` is the model's path: it runs the recurrence through
+    :func:`fused_stacked_lstm` — a single autograd node with a hand-derived
+    BPTT backward.  ``__call__`` is the stepwise test oracle (one autograd
+    node per op per timestep per layer) that ``tests/nn/test_fused_lstm.py``
+    checks the kernel against, gradchecks included.
     """
 
     def __init__(
@@ -268,7 +268,8 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
         per-step *carried* outputs feed layer ``l + 1``.
     mask:
         Optional ``(B, T)`` 0/1 array; masked steps carry ``(h, c)`` through
-        unchanged in every layer, exactly like the stepwise path.
+        unchanged in every layer, exactly like the stepwise path.  An
+        all-ones mask runs as no mask.
 
     Returns the final carried hidden state of the top layer, ``(B, H)``.
     """
@@ -282,6 +283,8 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
             raise ValueError(
                 f"mask shape {mask.shape} must be (B, T) = {(batch, steps)}"
             )
+        if mask.all():
+            mask = None  # all steps valid: the blend would be the identity
 
     hs = layers[0].hidden_size
     n_layers = len(layers)
@@ -465,7 +468,11 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(x >= 0, 1.0, e)
+    # select(x >= 0, 1, e) without a broadcast select: e <= 1, so the max of
+    # the 0/1 sign indicator and e is 1 where x >= 0 and e elsewhere (NaN
+    # propagates through np.maximum like it does through the select).
+    num = (x >= 0).astype(x.dtype)
+    np.maximum(num, e, out=num)
     e += 1.0  # e becomes the shared denominator
     if out is None:
         return np.divide(num, e)

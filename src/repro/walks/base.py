@@ -10,7 +10,7 @@ Two result containers live here:
   with ``==`` across paths.
 - :class:`WalkBatch` — a whole batch of walks as padded ``(W, T)`` arrays,
   ready for the aggregator.  Produced either by
-  :func:`~repro.core.aggregation.batch_walks` (the reference path, from
+  :func:`~repro.core.aggregation.batch_walks` (the test oracle, from
   ``Walk`` lists) or directly by the engine's array-native fast path
   (``temporal_walk_batch`` / ``uniform_walk_batch``), which never
   materializes per-walk Python objects.

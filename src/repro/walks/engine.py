@@ -27,8 +27,8 @@ property for all four walk families.
 skip ``Walk`` materialization entirely: the same lockstep loops (same RNG
 draws) pad their raw buffers straight into aggregator-ready
 :class:`~repro.walks.base.WalkBatch` arrays, bitwise-equal to running the
-``Walk`` path through ``batch_walks``.  This is the training fast path of
-the fused aggregation pipeline (see docs/architecture.md).
+``Walk`` path through ``batch_walks``.  EHNA's aggregation pipeline takes
+only this route (see docs/architecture.md).
 """
 
 from __future__ import annotations
@@ -702,7 +702,7 @@ class BatchedWalkEngine:
         return self._emit(nodes_buf, times_buf, lengths, with_times=True)
 
     # ------------------------------------------------------------------
-    # walk-set APIs (the reference path of EHNA's aggregation)
+    # walk-set APIs (the test oracle of the WalkBatch APIs above)
     # ------------------------------------------------------------------
     def temporal_walk_sets(
         self,

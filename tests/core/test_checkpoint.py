@@ -31,6 +31,19 @@ def fitted_ehna(graph):
     return EHNA(seed=0, **FAST).fit(graph)
 
 
+def _add_config_key(path, out, key, value) -> dict:
+    """Rewrite the checkpoint at ``path`` to ``out`` with ``key: value`` in
+    its config header, as a checkpoint written by an older ``EHNAConfig``
+    carries it; returns the rewritten config."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    header = json.loads(str(payload["__checkpoint_header__"]))
+    header["config"][key] = value
+    payload["__checkpoint_header__"] = np.asarray(json.dumps(header))
+    np.savez(out, **payload)
+    return header["config"]
+
+
 class TestEHNARoundtrip:
     def test_embeddings_bitwise_identical(self, fitted_ehna, tmp_path):
         path = fitted_ehna.save(tmp_path / "m.npz")
@@ -73,12 +86,7 @@ class TestEHNARoundtrip:
         # carry it in their header; loading drops it and nothing else.
         model = EHNA(seed=0, parallel_shards=2, **FAST).fit(graph)
         path = model.save(tmp_path / "m.npz")
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        header = json.loads(str(payload["__checkpoint_header__"]))
-        header["config"]["candidate_cap"] = 64
-        payload["__checkpoint_header__"] = np.asarray(json.dumps(header))
-        np.savez(path, **payload)
+        _add_config_key(path, path, "candidate_cap", 64)
 
         loaded = EHNA.load(path)
         assert not hasattr(loaded.config, "candidate_cap")
@@ -88,6 +96,33 @@ class TestEHNARoundtrip:
         loaded.partial_fit(([0, 1], [5, 6], [t_hi + 1.0, t_hi + 2.0]))
         assert np.all(np.isfinite(loaded.embeddings()))
         assert np.isfinite(loaded.loss_history[-1])
+
+    @pytest.mark.parametrize("fused_kernels", [False, True])
+    def test_retired_fused_kernels_loads_and_trains(
+        self, graph, tmp_path, fused_kernels
+    ):
+        # Checkpoints written while EHNAConfig chose between two aggregation
+        # pipelines carry fused_kernels (either value) in their header; both
+        # load into the one pipeline and continue exactly like the model
+        # that never had the key.
+        model = EHNA(seed=0, parallel_shards=2, **FAST).fit(graph)
+        path = model.save(tmp_path / "m.npz")
+        retired_path = tmp_path / "retired.npz"
+        config = _add_config_key(path, retired_path, "fused_kernels", fused_kernels)
+
+        assert EHNA._from_config(config).config == model.config
+        loaded = EHNA.load(retired_path)
+        assert not hasattr(loaded.config, "fused_kernels")
+        assert loaded.config == model.config
+        assert loaded.config.parallel_shards == 2  # the shard layout is kept
+        np.testing.assert_array_equal(loaded.embeddings(), model.embeddings())
+        plain = EHNA.load(path)
+        t_hi = graph.time_span[1]
+        edges = ([0, 1], [5, 6], [t_hi + 1.0, t_hi + 2.0])
+        loaded.partial_fit(edges)
+        plain.partial_fit(edges)
+        assert loaded.loss_history == plain.loss_history
+        np.testing.assert_array_equal(loaded.embeddings(), plain.embeddings())
 
     def test_rng_stream_roundtrips(self, graph, tmp_path):
         model = EHNA(seed=42, **FAST).fit(graph)

@@ -90,14 +90,6 @@ class TestFloat32Training:
         assert model.embeddings().dtype == np.float32
         assert model.embeddings().shape[0] == n + 1
 
-    def test_reference_and_fused_paths_share_float32_dtype(self, graph):
-        """The non-fused (Walk-object) path narrows too, so ablations run
-        under the same policy as the fast path."""
-        model = EHNA(
-            precision="float32", fused_kernels=False, **FAST
-        ).fit(graph)
-        assert model.embeddings().dtype == np.float32
-
 
 class TestWalkBatchNarrowing:
     def test_float32_engine_halves_walk_batch_bytes(self, graph):

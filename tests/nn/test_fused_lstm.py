@@ -10,16 +10,20 @@ import numpy as np
 import pytest
 
 from repro.nn.gradcheck import check_gradients
-from repro.nn.layers import LSTM, StackedLSTM, fused_stacked_lstm
+from repro.nn.layers import LSTM, StackedLSTM, _sigmoid, fused_stacked_lstm
 from repro.nn.tensor import Tensor
 
 
 def _random_case(seed, batch, steps, dim, hidden, layers, masked):
+    """``masked`` is ``False`` (no mask), ``True`` (ragged lengths) or
+    ``"full"`` (every step valid, as in a training batch of full walks)."""
     rng = np.random.default_rng(seed)
     lstm = StackedLSTM(dim, hidden, layers, rng=rng)
     x = rng.normal(size=(batch, steps, dim))
     mask = None
-    if masked:
+    if masked == "full":
+        mask = np.ones((batch, steps))
+    elif masked:
         lengths = rng.integers(1, steps + 1, size=batch)
         mask = (np.arange(steps) < lengths[:, None]).astype(np.float64)
     upstream = rng.normal(size=(batch, hidden))
@@ -55,6 +59,7 @@ CASES = [
     (1, 6, 4, 4, 2, True),  # single row: the encode(one node) shape
     (4, 1, 3, 3, 1, True),  # single step
     (5, 4, 2, 8, 2, False),  # input size != hidden size
+    (64, 7, 32, 32, 2, "full"),  # all-valid mask at a training-like shape
 ]
 
 
@@ -92,6 +97,36 @@ class TestFusedMatchesStepwise:
         out_fn = lstm.fused(Tensor(x), mask=mask)
         out_free = fused_stacked_lstm(Tensor(x), lstm.layers, mask=mask)
         np.testing.assert_array_equal(out_fn.data, out_free.data)
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1.0,
+               -1.0, 30.0, -30.0, 745.0, -745.0, 1e300, -1e300]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_special_values_bitwise(self, dtype):
+        """The select-free ``_sigmoid`` equals the ``np.where`` formula it
+        replaced and ``Tensor.sigmoid`` bit for bit: signed zeros, infs,
+        NaN, subnormal-range and overflowing inputs, in both precisions."""
+        with np.errstate(over="ignore", under="ignore"):
+            x = np.array(self.SPECIAL, dtype=dtype)
+            x = np.concatenate(
+                [x, np.random.default_rng(0).normal(scale=8, size=64).astype(dtype)]
+            )
+            e = np.exp(-np.abs(x))
+            old = np.where(x >= 0, 1.0, e) / (e + 1.0)
+            got = _sigmoid(x)
+            via_tensor = Tensor(x).sigmoid().data
+            out = np.empty_like(x)
+            _sigmoid(x, out=out)
+        assert got.dtype == old.dtype == via_tensor.dtype == dtype
+        nan = np.isnan(got)
+        assert nan.sum() == 1  # NaN in, NaN out; its sign bit is unspecified
+        for ref in (old, via_tensor, out):
+            np.testing.assert_array_equal(np.isnan(ref), nan)
+            np.testing.assert_array_equal(
+                got[~nan].view(np.uint8), ref[~nan].view(np.uint8)
+            )
 
 
 class TestFusedGradcheck:
