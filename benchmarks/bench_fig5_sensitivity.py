@@ -5,8 +5,7 @@ helps up to l≈10-15 then decays (5b); best p around log2 p = -1 (5c) and best
 q around log2 q = +1 (5d).
 
 ``run_fig5`` is a thin adapter over the task Runner with the methods axis
-carrying the configuration sweep (one EHNA factory per grid point), in
-shared-RNG mode for bitwise equivalence with the pre-Runner driver.
+carrying the configuration sweep (one EHNA factory per grid point).
 """
 
 from repro.experiments import format_fig5, run_fig5

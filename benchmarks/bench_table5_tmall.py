@@ -1,7 +1,7 @@
 """Table V — link prediction on Tmall (bipartite purchases).
 ``run_link_table`` is a thin adapter over the task Runner (``repro.tasks``):
-one ``LinkPredictionTask`` grid cell per method, shared-RNG mode, so the
-numbers match the pre-Runner driver bitwise at this fixed seed.
+one ``LinkPredictionTask`` grid cell per method, each on its own child
+generator, so a method's row does not depend on the other methods.
 """
 
 from repro.experiments import format_link_table, run_link_table

@@ -5,8 +5,7 @@ removed component (attention, temporal walks, two-level stacked aggregation)
 costs accuracy, with the single-level LSTM hurting the most.
 
 ``run_table7`` is a thin adapter over the task Runner: a single-operator
-``LinkPredictionTask`` grid per dataset in shared-RNG mode, so the numbers
-match the pre-Runner driver bitwise at this fixed seed.
+``LinkPredictionTask`` grid over every dataset and variant.
 """
 
 from repro.experiments import format_table7, run_table7

@@ -9,8 +9,7 @@ A thin adapter over the task Runner with the *methods axis* carrying the
 configuration sweep: every (panel, value) pair becomes one EHNA factory,
 evaluated against a single shared single-operator
 :class:`~repro.tasks.link_prediction.LinkPredictionTask` — one holdout
-preparation for the whole figure, exactly like the legacy driver, which the
-shared-RNG mode reproduces bitwise.
+preparation for the whole figure.
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ def run_fig5(
         for panel, value, overrides in points
     }
     task = LinkPredictionTask(fraction=0.2, operators=("Weighted-L2",), repeats=3)
-    table = Runner(
-        [dataset], methods, [task], scale=scale, seed=seed, rng_mode="shared"
-    ).run()
+    table = Runner([dataset], methods, [task], scale=scale, seed=seed).run()
 
     results: dict[str, dict[float, float]] = {
         "margin": {}, "walk_length": {}, "log2_p": {}, "log2_q": {}

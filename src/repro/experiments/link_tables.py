@@ -3,14 +3,9 @@
 Since the task-API redesign this driver is a thin adapter over the
 :class:`~repro.tasks.runner.Runner`: one :class:`LinkPredictionTask` cell
 per method, reshaped into the paper's operator-block layout with the
-error-reduction column (EHNA vs the best baseline per row).
-
-``rng_mode="shared"`` (the default) threads one generator through the grid
-in execution order, reproducing the pre-Runner numbers bitwise at a fixed
-seed — with the historical caveat that method N's numbers depend on how
-many draws method N-1 consumed.  ``rng_mode="cell"`` gives every grid cell
-an isolated child generator instead (the fix), at the cost of changing the
-published tables' exact values.
+error-reduction column (EHNA vs the best baseline per row).  Every cell
+draws from its own child generator, so a method's row does not depend on
+which other methods ran beside it.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ def run_link_table(
     methods=None,
     seed: int = 0,
     repeats: int = 5,
-    rng_mode: str = "shared",
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Regenerate one of Tables III-VI.
 
@@ -53,7 +47,6 @@ def run_link_table(
         [LinkPredictionTask(fraction=0.2, repeats=repeats)],
         scale=scale,
         seed=seed,
-        rng_mode=rng_mode,
     )
     results = runner.run()
 

@@ -3,9 +3,8 @@
 Link-prediction F1 under the Weighted-L2 operator, per dataset, exactly as
 the paper reports (Section V.F notes Weighted-L2 is shown for space).  A
 thin adapter over the task Runner: one single-operator
-:class:`~repro.tasks.link_prediction.LinkPredictionTask` grid per dataset
-(the legacy driver reseeded its generator per dataset, so the adapter runs
-one shared-stream Runner per dataset to keep the published numbers).
+:class:`~repro.tasks.link_prediction.LinkPredictionTask` grid over every
+dataset and variant.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ def run_table7(
     epochs: int = 3,
     seed: int = 0,
     repeats: int = 5,
-    rng_mode: str = "shared",
 ) -> dict[str, dict[str, float]]:
     """Regenerate Table VII: ``{variant: {dataset: weighted-L2 F1}}``."""
     factories = {
@@ -32,16 +30,15 @@ def run_table7(
     task = LinkPredictionTask(
         fraction=0.2, operators=("Weighted-L2",), repeats=repeats
     )
-    results: dict[str, dict[str, float]] = {v: {} for v in ABLATION_VARIANTS}
-    for ds in datasets:
-        table = Runner(
-            [ds], factories, [task], scale=scale, seed=seed, rng_mode=rng_mode
-        ).run()
-        for variant in ABLATION_VARIANTS:
-            results[variant][ds] = table.cell(ds, variant, task.name).metrics[
-                "Weighted-L2/f1"
-            ]
-    return results
+    runner = Runner(datasets, factories, [task], scale=scale, seed=seed)
+    table = runner.run()
+    return {
+        variant: {
+            ds: table.cell(ds, variant, task.name).metrics["Weighted-L2/f1"]
+            for ds in runner.datasets
+        }
+        for variant in ABLATION_VARIANTS
+    }
 
 
 def format_table7(results: dict[str, dict[str, float]]) -> str:

@@ -3,10 +3,8 @@
 Workers attach the leader's :class:`~repro.storage.SharedMemoryStorage`
 segment zero-copy via a picklable handle; training state crosses the
 process boundary as (graph handle, flat parameter snapshot, RNG seed) — the
-isolation seam :mod:`repro.core.params` provides.  Three front doors:
+isolation seam :mod:`repro.core.params` provides.  Two front doors:
 
-- :class:`ParallelWalkEngine` — sharded walk generation, bitwise
-  worker-count-invariant (``repro.parallel.walks``).
 - ``shard_pool`` — the worker pool ``EHNA.fit`` runs the shards of its
   training steps on when ``EHNAConfig.num_workers >= 2``
   (``repro.parallel.trainer``).
@@ -19,17 +17,14 @@ the sync-vs-hogwild tradeoffs.
 """
 
 from repro.parallel.hogwild import hogwild_train_corpus
-from repro.parallel.pool import shard_ranges, shard_rng, shard_seed_seq, spawn_pool
+from repro.parallel.pool import shard_rng, shard_seed_seq, spawn_pool
 from repro.parallel.state import SharedParams
 from repro.parallel.trainer import shard_pool
-from repro.parallel.walks import ParallelWalkEngine
 
 __all__ = [
-    "ParallelWalkEngine",
     "SharedParams",
     "hogwild_train_corpus",
     "shard_pool",
-    "shard_ranges",
     "shard_rng",
     "shard_seed_seq",
     "spawn_pool",

@@ -1,24 +1,19 @@
-"""Worker-pool plumbing shared by the parallel walk engine and trainers.
+"""Worker-pool plumbing shared by the sync and Hogwild trainers.
 
-Three pieces, all deliberately small:
+Two pieces, both deliberately small:
 
 - :func:`spawn_pool` — a persistent ``ProcessPoolExecutor`` over the
   **spawn** start method.  Spawn (not fork) because the leader may hold
   threaded-BLAS state and live shared-memory mappings that are unsafe to
   fork; workers import fresh and attach to shared segments via picklable
   handles instead of inheriting memory.
-- :func:`shard_ranges` — the fixed sharding of an index space.  Shards are
-  a function of the *workload and config only* (never of the worker
-  count), so the per-shard RNG substreams and the leader's shard-order
-  reduction are identical no matter how many workers exist — the
-  worker-count-invariance property the determinism tests pin.
 - :func:`shard_seed_seq` — the per-shard child RNG: seeded from
   ``SeedSequence(entropy=(step_seed, shard_idx))``, where ``step_seed`` is
   one draw from the leader's stream per step.  Shards never share a stream
   and never consume the leader's stream beyond that single draw.
 
 ``_WORKER`` is the per-process registry worker initializers populate
-(attached graph, model, engine); pool tasks read it instead of re-building
+(attached graph, model, parameters); pool tasks read it instead of re-building
 state per task — that is what makes the pool *persistent*.
 """
 
@@ -32,7 +27,7 @@ import numpy as np
 from repro.utils.validation import check_positive
 
 #: Per-worker-process state, populated by pool initializers: the attached
-#: graph/engine/model live here for the lifetime of the worker, so tasks
+#: graph/model/parameters live here for the lifetime of the worker, so tasks
 #: pay attach-and-build costs once, not per task.
 _WORKER: dict = {}
 
@@ -46,18 +41,6 @@ def spawn_pool(num_workers: int, initializer, initargs=()) -> ProcessPoolExecuto
         initializer=initializer,
         initargs=tuple(initargs),
     )
-
-
-def shard_ranges(total: int, shard_size: int) -> list:
-    """Contiguous ``(lo, hi)`` shards of ``range(total)``.
-
-    The layout depends only on ``total`` and ``shard_size`` — see the
-    module docstring for why worker counts must not enter here.
-    """
-    check_positive("shard_size", shard_size)
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
-    return [(lo, min(lo + shard_size, total)) for lo in range(0, total, shard_size)]
 
 
 def shard_seed_seq(step_seed: int, shard_idx: int) -> np.random.SeedSequence:

@@ -16,7 +16,6 @@ from pathlib import Path
 from repro.datasets.registry import UnknownDatasetError, available
 from repro.experiments.methods import default_methods
 from repro.tasks import TASK_TYPES, Runner
-from repro.tasks.runner import RNG_MODES
 
 #: Per-task constructor kwargs derived from the CLI's --repeats knob.
 _REPEAT_KWARG = {
@@ -62,9 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="EHNA training epochs (default 3)")
     parser.add_argument("--sgns-epochs", type=int, default=2,
                         help="skip-gram baseline epochs (default 2)")
-    parser.add_argument("--rng-mode", choices=RNG_MODES, default="cell",
-                        help="per-cell isolated RNG (default) or the legacy "
-                             "shared stream")
     parser.add_argument("--format", choices=("markdown", "json"),
                         default="markdown", help="output format")
     parser.add_argument("--out", type=Path, default=None,
@@ -111,7 +107,6 @@ def main(argv=None) -> int:
         tasks,
         scale=args.scale,
         seed=args.seed,
-        rng_mode=args.rng_mode,
         verbose=not args.quiet,
     )
     try:

@@ -1,9 +1,7 @@
 """Future link prediction as a declarative task (Tables III-VI).
 
 A thin task-protocol wrapper over :mod:`repro.eval.link_prediction`: the
-protocol, operators and metrics are exactly the legacy harness's, so a
-Runner cell in shared-RNG mode consumes the generator stream in the same
-order as the pre-Runner drivers and reproduces their numbers bitwise.
+protocol, operators and metrics are exactly the legacy harness's.
 """
 
 from __future__ import annotations

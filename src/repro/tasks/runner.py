@@ -10,14 +10,9 @@ of the grid with
   refitting per table;
 - **per-cell timing capture** — every cell records its fit (cache-aware)
   and evaluation wall-clock;
-- **isolated randomness** (``rng_mode="cell"``, the default): every
-  prepare/evaluate gets a child generator derived from ``(seed, dataset,
-  task, method)``, so a cell's numbers do not depend on which other cells
-  ran before it — the RNG-sharing bug the legacy drivers had;
-- **legacy randomness** (``rng_mode="shared"``): one generator threads
-  through the grid in execution order, bit-reproducing the pre-Runner
-  drivers at a fixed seed.  The experiment adapters use this so the
-  published tables keep their numbers.
+- **isolated randomness**: every prepare/evaluate gets a child generator
+  derived from ``(seed, dataset, task, method)``, so a cell's numbers do
+  not depend on which other cells ran before it.
 """
 
 from __future__ import annotations
@@ -33,11 +28,7 @@ from repro.datasets.registry import load
 from repro.graph.temporal_graph import TemporalGraph
 from repro.tasks.base import Task, check_same_split
 from repro.tasks.results import Cell, ResultTable
-from repro.utils.rng import ensure_rng
 from repro.utils.timers import Timer
-
-#: Supported randomness policies.
-RNG_MODES = ("cell", "shared")
 
 
 def cell_rng(seed: int, *labels: str) -> np.random.Generator:
@@ -85,7 +76,6 @@ class Runner:
         *,
         scale: float = 0.3,
         seed: int = 0,
-        rng_mode: str = "cell",
         verbose: bool = False,
     ):
         """
@@ -102,13 +92,7 @@ class Runner:
         tasks:
             :class:`~repro.tasks.base.Task` instances; task names must be
             unique within a grid.
-        rng_mode:
-            ``"cell"`` (isolated per-cell child generators, the default) or
-            ``"shared"`` (one stream threaded in execution order, matching
-            the legacy drivers bit for bit).
         """
-        if rng_mode not in RNG_MODES:
-            raise ValueError(f"rng_mode must be one of {RNG_MODES}, got {rng_mode!r}")
         if isinstance(datasets, Mapping):
             self._graphs = dict(datasets)
             self.datasets = list(self._graphs)
@@ -122,7 +106,6 @@ class Runner:
             raise ValueError(f"task names must be unique within a grid, got {names}")
         self.scale = float(scale)
         self.seed = 0 if seed is None else int(seed)
-        self.rng_mode = rng_mode
         self.verbose = verbose
 
     # ------------------------------------------------------------------
@@ -130,11 +113,6 @@ class Runner:
         if self._graphs is not None:
             return self._graphs[name]
         return load(name, scale=self.scale, seed=self.seed)
-
-    def _rng_for(self, shared, *labels) -> np.random.Generator:
-        if self.rng_mode == "shared":
-            return shared
-        return cell_rng(self.seed, *labels)
 
     def _say(self, message: str) -> None:
         # Progress goes to stderr: the CLI pipes stdout (markdown/JSON).
@@ -144,13 +122,12 @@ class Runner:
     # ------------------------------------------------------------------
     def run(self) -> ResultTable:
         """Walk the grid (datasets outer, then tasks, then methods)."""
-        shared = ensure_rng(self.seed) if self.rng_mode == "shared" else None
         cells: list[Cell] = []
         for ds_name in self.datasets:
             graph = self._load_graph(ds_name)
             fit_cache: dict = {}  # (method, fit_key) -> (model, seconds)
             for task in self.tasks:
-                prep_rng = self._rng_for(shared, "prepare", ds_name, task.name)
+                prep_rng = cell_rng(self.seed, "prepare", ds_name, task.name)
                 data = task.prepare(graph, prep_rng)
                 for m_name, factory in self.methods.items():
                     key = (m_name, task.fit_key)
@@ -164,8 +141,8 @@ class Runner:
                             model.fit(data.train_graph)
                         fit_seconds = t.elapsed
                         fit_cache[key] = (model, fit_seconds)
-                    eval_rng = self._rng_for(
-                        shared, "evaluate", ds_name, task.name, m_name
+                    eval_rng = cell_rng(
+                        self.seed, "evaluate", ds_name, task.name, m_name
                     )
                     with Timer() as t:
                         metrics = task.evaluate(model, data, eval_rng)

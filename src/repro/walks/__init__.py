@@ -6,7 +6,7 @@ of walks in lockstep with vectorized NumPy gathers (and is bitwise identical
 to the per-node ``*_sequential`` reference loops at batch size 1).
 """
 
-from repro.walks.base import Walk, WalkBatch, concat_walk_batches
+from repro.walks.base import Walk, WalkBatch
 from repro.walks.ctdne import CTDNEWalker
 from repro.walks.engine import BatchedWalkEngine
 from repro.walks.static import Node2VecWalker, UniformWalker
@@ -15,7 +15,6 @@ from repro.walks.temporal import TemporalWalker
 __all__ = [
     "Walk",
     "WalkBatch",
-    "concat_walk_batches",
     "BatchedWalkEngine",
     "TemporalWalker",
     "Node2VecWalker",

@@ -163,42 +163,3 @@ class WalkBatch:
         sums[row, col] = self.time_sums.ravel()[src]
         return WalkBatch(ids=ids, valid=valid, time_sums=sums, k=1)
 
-
-def concat_walk_batches(batches) -> WalkBatch:
-    """Stack per-shard :class:`WalkBatch` es back into one batch.
-
-    The reassembly half of sharded walk generation: each shard produced the
-    walks of a contiguous run of targets, padded to *its own* longest walk.
-    Rows are re-padded to the global maximum (id 0 / valid 0 / sum 0 — the
-    producers' padding convention, so a walk's arrays are bitwise-identical
-    whether it was padded by its shard or here) and concatenated in shard
-    order, which is target order.  All shards must agree on ``k`` and on
-    the producer's dtype choices.
-    """
-    batches = list(batches)
-    if not batches:
-        raise ValueError("concat_walk_batches needs at least one batch")
-    first = batches[0]
-    for b in batches[1:]:
-        if b.k != first.k:
-            raise ValueError(f"mismatched walks-per-target: {b.k} != {first.k}")
-        if (
-            b.ids.dtype != first.ids.dtype
-            or b.valid.dtype != first.valid.dtype
-            or b.time_sums.dtype != first.time_sums.dtype
-        ):
-            raise ValueError("mismatched array dtypes across shards")
-    if len(batches) == 1:
-        return first
-    max_len = max(b.max_len for b in batches)
-    total = sum(b.num_walks for b in batches)
-    ids = np.zeros((total, max_len), dtype=first.ids.dtype)
-    valid = np.zeros((total, max_len), dtype=first.valid.dtype)
-    sums = np.zeros((total, max_len), dtype=first.time_sums.dtype)
-    row = 0
-    for b in batches:
-        ids[row : row + b.num_walks, : b.max_len] = b.ids
-        valid[row : row + b.num_walks, : b.max_len] = b.valid
-        sums[row : row + b.num_walks, : b.max_len] = b.time_sums
-        row += b.num_walks
-    return WalkBatch(ids=ids, valid=valid, time_sums=sums, k=first.k)

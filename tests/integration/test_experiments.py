@@ -5,6 +5,8 @@ import pytest
 
 from repro.baselines import LINE, Node2Vec
 from repro.core import EHNA
+from repro.datasets import load
+from repro.eval.reconstruction import reconstruction_precision
 from repro.experiments import (
     format_fig4,
     format_fig5,
@@ -19,6 +21,7 @@ from repro.experiments import (
     run_table7,
     run_table8,
 )
+from repro.utils.rng import ensure_rng
 
 TINY_METHODS = {
     "LINE": lambda: LINE(dim=8, samples_per_edge=5, seed=0),
@@ -26,6 +29,23 @@ TINY_METHODS = {
     "EHNA": lambda: EHNA(dim=8, epochs=1, batch_size=32, num_walks=2,
                          walk_length=3, num_negatives=2, seed=0),
 }
+
+
+def legacy_run_fig4(datasets, scale, ps, methods, seed, repeats):
+    """The pre-Runner run_fig4 loop: one generator threaded through the grid."""
+    rng = ensure_rng(seed)
+    results = {}
+    for ds in datasets:
+        graph = load(ds, scale=scale, seed=seed)
+        per_method = {}
+        for name, factory in methods.items():
+            model = factory().fit(graph)
+            per_method[name] = reconstruction_precision(
+                model.embeddings(), graph, list(ps), sample_size=None,
+                repeats=repeats, rng=rng,
+            )
+        results[ds] = per_method
+    return results
 
 
 class TestTable1:
@@ -57,6 +77,12 @@ class TestFig4:
         text = format_fig4(out)
         assert "Fig.4" in text and "P=10" in text
 
+    def test_fig4_bitwise_equivalence(self):
+        kwargs = dict(datasets=("dblp", "digg"), scale=0.1, ps=(10, 50),
+                      methods={k: TINY_METHODS[k] for k in ("LINE", "Node2Vec")},
+                      seed=3, repeats=1)
+        assert run_fig4(**kwargs) == legacy_run_fig4(**kwargs)
+
 
 class TestLinkTables:
     def test_structure_and_error_reduction(self):
@@ -74,6 +100,18 @@ class TestLinkTables:
                                seed=0, repeats=1)
         text = format_link_table("digg", table)
         assert "Table III" in text
+
+    def test_rows_independent_of_method_order(self):
+        def table(order):
+            methods = {name: TINY_METHODS[name] for name in order}
+            return run_link_table("digg", scale=0.1, methods=methods, repeats=2)
+
+        ab = table(("LINE", "Node2Vec"))
+        ba = table(("Node2Vec", "LINE"))
+        for operator, metrics in ab.items():
+            for metric, row in metrics.items():
+                for method in ("LINE", "Node2Vec"):
+                    assert row[method] == ba[operator][metric][method]
 
 
 class TestTable7:

@@ -133,56 +133,37 @@ class TestFitKeyContract:
 
 class TestRngIsolation:
     @staticmethod
-    def _grid(methods, rng_mode):
+    def _grid(methods):
         return Runner(
             ["digg"],
             methods,
             [LinkPredictionTask(repeats=2)],
             scale=0.1,
             seed=0,
-            rng_mode=rng_mode,
         ).run()
 
     def test_cell_mode_is_order_independent(self):
-        """The satellite fix: a cell's numbers no longer depend on which
-        methods ran before it."""
+        """A cell's numbers do not depend on which methods ran before it."""
         line = lambda: LINE(dim=8, samples_per_edge=2, seed=0)  # noqa: E731
         n2v = lambda: Node2Vec(  # noqa: E731
             dim=8, num_walks=2, walk_length=6, epochs=1, seed=0
         )
-        ab = self._grid({"LINE": line, "Node2Vec": n2v}, "cell")
-        ba = self._grid({"Node2Vec": n2v, "LINE": line}, "cell")
+        ab = self._grid({"LINE": line, "Node2Vec": n2v})
+        ba = self._grid({"Node2Vec": n2v, "LINE": line})
         for method in ("LINE", "Node2Vec"):
             assert (
                 ab.cell("digg", method, "link_prediction").metrics
                 == ba.cell("digg", method, "link_prediction").metrics
             )
 
-    def test_shared_mode_is_order_dependent(self):
-        """The legacy behavior the adapters rely on for bit-reproduction."""
-        line = lambda: LINE(dim=8, samples_per_edge=2, seed=0)  # noqa: E731
-        n2v = lambda: Node2Vec(  # noqa: E731
-            dim=8, num_walks=2, walk_length=6, epochs=1, seed=0
-        )
-        ab = self._grid({"LINE": line, "Node2Vec": n2v}, "shared")
-        ba = self._grid({"Node2Vec": n2v, "LINE": line}, "shared")
-        assert (
-            ab.cell("digg", "Node2Vec", "link_prediction").metrics
-            != ba.cell("digg", "Node2Vec", "link_prediction").metrics
-        )
-
     def test_cell_mode_deterministic(self):
         line = lambda: LINE(dim=8, samples_per_edge=2, seed=0)  # noqa: E731
-        a = self._grid({"LINE": line}, "cell")
-        b = self._grid({"LINE": line}, "cell")
+        a = self._grid({"LINE": line})
+        b = self._grid({"LINE": line})
         assert (
             a.cell("digg", "LINE", "link_prediction").metrics
             == b.cell("digg", "LINE", "link_prediction").metrics
         )
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="rng_mode"):
-            Runner(["digg"], {}, [], rng_mode="global")
 
 
 class TestRunnerInputs:

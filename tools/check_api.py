@@ -378,12 +378,10 @@ def check_storage_surface() -> list[str]:
 
 #: The repro.parallel exports the data-parallel path is built on.
 PARALLEL_EXPORTS = (
-    "ParallelWalkEngine",
     "SharedParams",
     "hogwild_train_corpus",
     "shard_pool",
     "spawn_pool",
-    "shard_ranges",
     "shard_rng",
     "shard_seed_seq",
 )
