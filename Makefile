@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-parallel bench bench-precision bench-streaming bench-scale bench-parallel bench-all docs-check quickstart lint api-check check reprolint lint-report tables
+.PHONY: test test-stream test-faults test-parallel bench bench-precision bench-streaming bench-scale bench-parallel bench-all docs-check quickstart lint api-check api-snapshot check reprolint lint-report tables
 
 ## Tier-1 test suite (the gate every change must keep green).  Runs all
 ## four static gates first (see `make check`), then the pytest suite.
@@ -43,9 +43,14 @@ test-faults:
 test-parallel:
 	$(PY) -m pytest -q -m parallel tests/parallel tests/storage/test_shared.py
 
-## Assert every EmbeddingMethod subclass implements the v2 API surface.
+## Compare the public surface (every __all__ export's signature, class
+## members and dataclass fields) with the checked-in tools/api_surface.json.
 api-check:
 	$(PY) tools/check_api.py
+
+## Re-record tools/api_surface.json after an intended public-surface change.
+api-snapshot:
+	$(PY) tools/check_api.py --update
 
 ## ruff check (pinned version; skips cleanly when ruff is unavailable).
 lint:

@@ -13,8 +13,9 @@ End-to-end at 1M events / 100k nodes, all through the storage seam:
    graph (runtime build + a few optimizer steps, not a full epoch).
 
 Peak RSS is sampled via ``resource.getrusage`` after each stage, so the
-table shows where memory actually grows.  Results land in
-``benchmarks/results/scale.txt``.
+table shows where memory actually grows.  The report names the machine
+(``os.cpu_count()`` and the usable cores from ``os.sched_getaffinity``), as
+``bench_parallel`` does.  Results land in ``benchmarks/results/scale.txt``.
 
 Excluded from tier-1 (``scale`` marker).  Run:  make bench-scale
 (or  PYTHONPATH=src python -m pytest benchmarks/bench_scale.py -q -s -m scale)
@@ -22,6 +23,7 @@ Excluded from tier-1 (``scale`` marker).  Run:  make bench-scale
 
 from __future__ import annotations
 
+import os
 import resource
 import time as _time
 
@@ -113,6 +115,8 @@ def test_million_event_pipeline(save_result, tmp_path):
     lines = [
         f"Scale benchmark: {NUM_EVENTS:,} events, {NUM_NODES:,} nodes "
         f"(columnar memmap store)",
+        f"machine: os.cpu_count()={os.cpu_count()}, "
+        f"usable cores={len(os.sched_getaffinity(0))}",
         f"{'stage':<22} {'detail':<28} {'time':>10}",
     ]
     for stage, detail, elapsed in rows:

@@ -48,7 +48,6 @@ from repro.parallel.pool import shard_rng
 from repro.utils.checkpoint import CheckpointError
 from repro.utils.rng import ensure_rng
 from repro.walks.engine import BatchedWalkEngine
-from repro.walks.temporal import TemporalWalker
 
 #: Config keys of the training paths that were folded into one sharded step.
 #: A checkpoint carrying them predates the fold; ``_from_config`` drops every
@@ -103,19 +102,13 @@ class EHNA(EmbeddingMethod):
         cfg = self.config
         self.sampler = NegativeSampler(graph, power=cfg.negative_power)
         # One shared vectorized engine advances every walk family; the
-        # temporal walker stays exposed as a thin per-node wrapper over it
-        # (and doubles as the temporal_walks ablation switch).
+        # temporal_walks ablation switch only chooses which family runs.
         self.engine = BatchedWalkEngine(
             graph,
             p=cfg.p,
             q=cfg.q,
             decay=cfg.decay,
             real_dtype=self._precision.real,
-        )
-        self.temporal_walker = (
-            TemporalWalker(graph, p=cfg.p, q=cfg.q, decay=cfg.decay, engine=self.engine)
-            if cfg.temporal_walks
-            else None
         )
 
     def _build_runtime(self, graph: TemporalGraph, rng=None) -> None:
@@ -379,7 +372,7 @@ class EHNA(EmbeddingMethod):
         cfg = self.config
         eligible = (
             ~np.isnan(anchors)
-            if self.temporal_walker is not None
+            if cfg.temporal_walks
             else np.zeros(nodes.size, dtype=bool)
         )
         elig_idx = np.flatnonzero(eligible)
@@ -414,9 +407,7 @@ class EHNA(EmbeddingMethod):
         if static_idx.size:
             # EHNA-RW samples full-length static walks for every node; the
             # fallback neighborhood stays shallow (Section IV.D).
-            length = (
-                cfg.walk_length if self.temporal_walker is None else cfg.fallback_hops
-            )
+            length = cfg.fallback_hops if cfg.temporal_walks else cfg.walk_length
             batch = self.engine.uniform_walk_batch(
                 nodes[static_idx],
                 cfg.num_walks,

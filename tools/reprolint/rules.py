@@ -251,7 +251,8 @@ class DurabilityRule(Rule):
 class PublicDocstringRule(Rule):
     """API001 — the exported surface documents itself.
 
-    ``tools/check_api.py`` gates the *shape* of the public protocol; this
+    ``tools/check_api.py`` gates the *shape* of the public surface against
+    the ``tools/api_surface.json`` snapshot; this
     rule gates its *legibility*: anything a module exports via ``__all__``
     is part of the supported API and must say what it is for.
     """
