@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-parallel bench bench-precision bench-streaming bench-scale bench-parallel bench-all docs-check quickstart lint api-check api-snapshot check reprolint lint-report tables
+.PHONY: test test-stream test-faults test-parallel bench-precision bench-streaming bench-scale bench-parallel bench-all docs-check quickstart lint api-check api-snapshot check reprolint lint-report tables
 
 ## Tier-1 test suite (the gate every change must keep green).  Runs all
 ## four static gates first (see `make check`), then the pytest suite.
@@ -56,17 +56,14 @@ api-snapshot:
 lint:
 	$(PY) tools/check_lint.py
 
-## Fast walk-engine benchmark (asserts the >=5x batched speedup).
-bench:
-	$(PY) -m pytest benchmarks/bench_walk_engine.py -q -s
-
 ## Precision-policy benchmark (float32 >=1.5x train-step speedup, ~2x
 ## walk-buffer memory reduction, link-prediction AUC parity).
 bench-precision:
 	$(PY) -m pytest benchmarks/bench_precision.py -q -s
 
-## Streaming benchmark (amortized extend >=2x over per-call re-sort on a
-## 50k-event replay; records ingest throughput and encode p50/p99 latency).
+## Streaming benchmark (50k-event extend_in_place replay bitwise equal to
+## from_edges, WAL-on ingest <=2x WAL-off; records ingest throughput and
+## encode p50/p99 latency).
 bench-streaming:
 	$(PY) -m pytest benchmarks/bench_streaming.py -q -s
 

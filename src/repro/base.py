@@ -164,35 +164,33 @@ class EmbeddingMethod(abc.ABC):
     ) -> "EmbeddingMethod":
         """Append streamed ``edges`` to the graph and train incrementally.
 
-        ``edges`` is parsed by :func:`parse_edge_batch`.  The temporal graph
-        is extended (new nodes grow the embedding space), and the method
-        runs ``epochs`` incremental training epochs over the *fresh* events
-        only — no refit from scratch.  Requires a previous ``fit``.
-
-        ``edges=None`` is the **buffered-graph absorb**: events already
-        ingested into ``self.graph`` via
+        ``edges`` is parsed by :func:`parse_edge_batch` and appended to a
+        :meth:`~repro.graph.temporal_graph.TemporalGraph.copy` of the graph
+        through the amortized
         :meth:`~repro.graph.temporal_graph.TemporalGraph.extend_in_place`
-        (the amortized streaming path — see ``repro.stream``) are claimed
-        with ``take_fresh()`` and trained on exactly once.  With nothing
-        buffered since the last absorb this is a no-op, so a zero-event
-        training tick costs nothing and changes nothing.
+        path (new nodes grow the embedding space; the caller's graph object
+        is untouched).  ``edges=None`` trains on what is already buffered in
+        ``self.graph`` — the online-service ingest path (see
+        ``repro.stream``).  Either way every event ingested since the last
+        absorb is claimed with ``take_fresh()`` and trained on exactly once,
+        for ``epochs`` incremental epochs over the *fresh* events only — no
+        refit from scratch.  With nothing fresh this is a no-op, so a
+        zero-event training tick costs nothing and changes nothing.
+        Requires a previous ``fit``.
         """
         if self.graph is None:
             raise RuntimeError("call fit() before partial_fit()")
-        if edges is None:
-            fresh = self.graph.take_fresh()
-            if fresh.size == 0:
-                return self
-            self._apply_partial_fit(self.graph, fresh, epochs)
-            return self
-        src, dst, time, weight = parse_edge_batch(edges)
-        new_graph, fresh = self.graph.extend(
-            src, dst, time, weight, num_nodes=num_nodes
-        )
+        graph = self.graph
+        if edges is not None:
+            src, dst, time, weight = parse_edge_batch(edges)
+            graph = graph.copy().extend_in_place(
+                src, dst, time, weight, num_nodes=num_nodes
+            )
+        fresh = graph.take_fresh()
         if fresh.size == 0:
             return self
-        self.graph = new_graph  # in place before the hook runs
-        self._apply_partial_fit(new_graph, fresh, epochs)
+        self.graph = graph  # in place before the hook runs
+        self._apply_partial_fit(graph, fresh, epochs)
         return self
 
     def _apply_partial_fit(

@@ -18,23 +18,23 @@ Timestamps may be arbitrary floats (years, epoch seconds).  ``times01`` gives
 the monotone rescaling to ``[0, 1]`` used inside decay kernels and attention
 (see DESIGN.md, substitution table).
 
-**Streaming extension.**  ``extend`` returns a brand-new graph (one full
-stable merge + CSR rebuild per call) — correct but O(m log m) per arriving
-micro-batch.  The amortized path is ``extend_in_place``: arriving events land
-in an append buffer in O(batch), and the merge/rebuild runs once per
-**compaction** — triggered every ``compact_every`` buffered events, by an
-explicit ``compact()``, or transparently on the first read of any derived
-structure.  Readers therefore always observe the fully merged graph
-(``pending_events`` tells how many events are currently buffered), and a
-compacted stream is bitwise identical to a from-scratch ``from_edges`` build
-of the same events.  ``take_fresh`` hands the not-yet-absorbed event ids to
-``EmbeddingMethod.partial_fit(None)``; ``pin_time_scale`` freezes the
-``times01`` mapping so a growing stream head cannot silently re-scale the
-history a trained model was fitted on.
+**Streaming extension.**  ``extend_in_place`` is the one growth path:
+arriving events land in an append buffer in O(batch), and the stable
+merge/CSR rebuild runs once per **compaction** — triggered every
+``compact_every`` buffered events, by an explicit ``compact()``, or
+transparently on the first read of any derived structure.  Readers therefore
+always observe the fully merged graph (``pending_events`` tells how many
+events are currently buffered), and a compacted stream is bitwise identical
+to a from-scratch ``from_edges`` build of the same events.  ``take_fresh``
+hands the not-yet-absorbed event ids to ``EmbeddingMethod.partial_fit``
+(which grows a :meth:`copy` when given edges, so the caller's graph object
+is untouched); ``pin_time_scale`` freezes the ``times01`` mapping so a
+growing stream head cannot silently re-scale the history a trained model
+was fitted on.
 
 **Storage backends.**  The base event columns live behind the
 :class:`~repro.storage.GraphStorage` seam: ``from_edges`` (and every
-derived graph — snapshots, splits, extensions) wraps in-memory arrays in an
+derived graph — snapshots, splits, compactions) wraps in-memory arrays in an
 :class:`~repro.storage.ArrayStorage`, while :meth:`from_storage` builds a
 graph over any backend — in particular a columnar on-disk
 :class:`~repro.storage.MemmapStorage`, whose lazily memory-mapped columns
@@ -121,19 +121,6 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_edge_arrays(src, dst, time, weight):
-        """Cast and check parallel edge arrays; returns the casted tuple.
-
-        Shared by :meth:`from_edges` and :meth:`extend`, and delegated to
-        :func:`repro.storage.validate_event_columns` — the same gate the
-        memmap ingestion writer uses, so an event is accepted or rejected
-        identically no matter which door it entered through.  Empty arrays
-        are allowed here (``extend`` accepts a no-op batch); ``from_edges``
-        rejects them separately.
-        """
-        return validate_event_columns(src, dst, time, weight)
-
     @classmethod
     def from_edges(cls, src, dst, time, weight=None, num_nodes=None) -> "TemporalGraph":
         """Build a graph from parallel edge arrays.
@@ -142,7 +129,7 @@ class TemporalGraph:
         parallel edges (repeat interactions) are kept — they are meaningful
         temporal events (e.g. repeat collaborations in DBLP).
         """
-        src, dst, time, weight = cls._validate_edge_arrays(src, dst, time, weight)
+        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
         if src.size == 0:
             raise ValueError("a temporal graph needs at least one edge")
 
@@ -297,43 +284,32 @@ class TemporalGraph:
             )
         return self._store.handle
 
-    def extend(
-        self, src, dst, time, weight=None, num_nodes=None
-    ) -> tuple["TemporalGraph", np.ndarray]:
-        """A new graph with the given events appended; the original is untouched.
+    # ------------------------------------------------------------------
+    # streaming extension (the amortized growth path)
+    # ------------------------------------------------------------------
+    def extend_in_place(
+        self, src, dst, time, weight=None, num_nodes=None, compact_every=None
+    ) -> "TemporalGraph":
+        """Append events to this graph's buffer in O(batch); returns self.
 
-        This is the streaming path behind ``EmbeddingMethod.partial_fit``:
-        arriving interactions are merged into the time-sorted edge table (a
-        stable sort keeps existing ties in their original order and places
-        equal-time arrivals after them) and the CSR incidence index is
-        rebuilt.  New node ids beyond the current id space grow the graph;
-        ``num_nodes`` can reserve extra headroom explicitly.
+        Events are validated and stored in an append buffer; the stable
+        merge + CSR rebuild runs once per compaction — when
+        ``compact_every`` buffered events accumulate, on an explicit
+        :meth:`compact`, or transparently on the first read of any derived
+        structure.  New node ids beyond the current id space grow the graph
+        immediately (node ids are stable — growth never renumbers existing
+        nodes); ``num_nodes`` reserves extra headroom explicitly.
 
-        Returns ``(new_graph, fresh_edge_ids)`` where ``fresh_edge_ids``
-        indexes the appended events *in the new graph's edge-id space* (ids
-        of older events may shift when arrivals carry historical
-        timestamps).  An empty batch returns ``(self, empty)``.
+        This **mutates** the receiver, which is why
+        :func:`repro.datasets.load` hands out :meth:`copy` snapshots of its
+        cache entries and ``EmbeddingMethod.partial_fit(edges)`` grows a
+        copy of the model's graph.  Use it when the graph is an owned, live
+        object — the streaming ingest path (`repro.stream.OnlineService`) —
+        not on graphs shared with other readers.
         """
-        self._ensure_compacted()
-        src, dst, time, weight = self._validate_edge_arrays(src, dst, time, weight)
+        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
         if src.size == 0:
-            return self, np.empty(0, dtype=np.int64)
-
-        n = self._grown_node_count(src, dst, num_nodes)
-        all_src = np.concatenate([self._src, src])
-        all_dst = np.concatenate([self._dst, dst])
-        all_time = np.concatenate([self._time, time])
-        all_weight = np.concatenate([self._weight, weight])
-        order = np.argsort(all_time, kind="stable")
-        fresh = np.flatnonzero(order >= self._src.size)
-        graph = TemporalGraph(
-            n, all_src[order], all_dst[order], all_time[order], all_weight[order]
-        )
-        graph._scale = self._scale  # a pinned time scale survives extension
-        return graph, fresh
-
-    def _grown_node_count(self, src, dst, num_nodes) -> int:
-        """Node count after admitting ``src``/``dst`` (shared extend logic)."""
+            return self
         max_node = int(max(src.max(), dst.max()))
         n = max(self._n, max_node + 1)
         if num_nodes is not None:
@@ -342,35 +318,7 @@ class TemporalGraph:
                     f"num_nodes={num_nodes} too small for max node id {max_node}"
                 )
             n = max(n, int(num_nodes))
-        return n
-
-    # ------------------------------------------------------------------
-    # streaming extension (amortized in-place path)
-    # ------------------------------------------------------------------
-    def extend_in_place(
-        self, src, dst, time, weight=None, num_nodes=None, compact_every=None
-    ) -> "TemporalGraph":
-        """Append events to this graph's buffer in O(batch); returns self.
-
-        The amortized counterpart of :meth:`extend`: events are validated
-        and stored in an append buffer, and the stable merge + CSR rebuild
-        that :meth:`extend` pays on *every* call runs once per compaction —
-        when ``compact_every`` buffered events accumulate, on an explicit
-        :meth:`compact`, or transparently on the first read of any derived
-        structure.  ``num_nodes`` reserves id headroom exactly as in
-        :meth:`extend`; new node ids grow the graph immediately (node ids
-        are stable — growth never renumbers existing nodes).
-
-        Unlike :meth:`extend` this **mutates** the receiver, which is why
-        :func:`repro.datasets.load` hands out :meth:`copy` snapshots of its
-        cache entries.  Use it when the graph is an owned, live object — the
-        streaming ingest path (`repro.stream.OnlineService`) — not on graphs
-        shared with other readers.
-        """
-        src, dst, time, weight = self._validate_edge_arrays(src, dst, time, weight)
-        if src.size == 0:
-            return self
-        self._n = self._grown_node_count(src, dst, num_nodes)
+        self._n = n
         self._pending.append((src, dst, time, weight))
         self._pending_count += src.size
         if compact_every is not None and self._pending_count >= int(compact_every):
@@ -507,7 +455,7 @@ class TemporalGraph:
         scaled timestamps of the whole history, perturbing the decay-kernel
         inputs a trained model was fitted on.  Pinning fixes ``(lo, hi)``
         once (events beyond ``hi`` map monotonically above 1.0) and survives
-        :meth:`extend` / :meth:`extend_in_place` / :meth:`copy`; snapshots
+        :meth:`extend_in_place` / :meth:`compact` / :meth:`copy`; snapshots
         and splits keep the legacy behavior of scaling to their own span.
         Returns self.
         """

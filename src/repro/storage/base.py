@@ -8,7 +8,7 @@ is the contract for where the base columns come from:
 
 - :class:`ArrayStorage` — plain in-memory numpy arrays, the default.  This
   is exactly what ``TemporalGraph`` held before the seam existed; every
-  graph built through ``from_edges`` / ``extend`` / ``snapshot`` uses it.
+  graph built through ``from_edges`` / ``snapshot`` / ``compact`` uses it.
 - :class:`~repro.storage.memmap.MemmapStorage` — a columnar on-disk layout
   (one ``.npy`` per column under a dataset directory, plus a JSON manifest),
   memory-mapped lazily so a 10M-event log never needs to be resident at
@@ -49,11 +49,11 @@ COLUMN_DTYPES = {
 def validate_event_columns(src, dst, time, weight=None):
     """Cast and check parallel event columns; returns the casted tuple.
 
-    The shared gate behind ``TemporalGraph.from_edges`` / ``extend`` /
+    The shared gate behind ``TemporalGraph.from_edges`` /
     ``extend_in_place`` *and* the memmap ingestion writer: self-loops,
     negative ids, non-finite timestamps and non-positive weights are
     rejected with the same messages everywhere.  Empty columns are allowed
-    (a no-op extend batch, an empty ingest chunk); callers that need at
+    (a no-op ``extend_in_place`` batch, an empty ingest chunk); callers that need at
     least one event check separately.  ``weight=None`` fills unit weights.
     """
     src = np.asarray(src, dtype=np.int64)

@@ -18,12 +18,12 @@ streaming loop over the model's own graph:
 sampling structures snapshot the graph at the last ``fit``/``absorb`` —
 ingested-but-unabsorbed events are visible to graph readers but not to
 queries.  :attr:`staleness` counts exactly those events, and ``absorb()``
-resets it to zero.  By default the service **pins the graph's time scale**
-at construction (``pin_time_scale=True``): the scaled-time encoding of
-historical events then stays fixed as the stream head advances, so answers
-for past anchors don't drift between absorbs merely because the timeline
-grew.  Events that introduce *new* nodes only become queryable after the
-next absorb (which grows the embedding table).
+resets it to zero.  The service **pins the graph's time scale** at
+construction (unless the graph already carries a pin): the scaled-time
+encoding of historical events then stays fixed as the stream head advances,
+so answers for past anchors don't drift between absorbs merely because the
+timeline grew.  Events that introduce *new* nodes only become queryable
+after the next absorb (which grows the embedding table).
 
 The service enforces stream order at the ingest boundary: a batch reaching
 back before the newest ingested event is rejected, matching the loader's
@@ -80,10 +80,6 @@ class OnlineService:
         manual.
     epochs:
         Incremental epochs per absorb (``partial_fit``'s ``epochs``).
-    pin_time_scale:
-        Pin the graph's scaled-time mapping to its current span (see the
-        staleness model above).  Default on; pass ``False`` to keep the
-        legacy live rescaling.
     wal_dir:
         Directory for the write-ahead log.  When set, every batch is
         durably logged before it is applied; ``None`` (default) disables
@@ -108,7 +104,6 @@ class OnlineService:
         compact_every: int = 4096,
         train_every: int | None = None,
         epochs: int = 1,
-        pin_time_scale: bool = True,
         wal_dir=None,
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         wal_sync: str = "batch",
@@ -152,7 +147,7 @@ class OnlineService:
             )
         )
         self._replaying = False
-        if pin_time_scale and model.graph.time_scale is None:
+        if model.graph.time_scale is None:
             model.graph.pin_time_scale()
         # The stream head: the graph's edge table is time-sorted, so the
         # newest event is the last row (empty graph = no constraint yet).
@@ -371,7 +366,6 @@ class OnlineService:
         cfg.update(overrides)
         service = cls(
             model,
-            pin_time_scale=scale is not None,
             wal_dir=wal_dir,
             checkpoint_path=ckpt_path,
             **cfg,

@@ -123,6 +123,34 @@ class TestEHNAPartialFit:
         model = EHNA(seed=0, **FAST).fit(graph)
         assert model.partial_fit(future_edges(graph, 5)) is model
 
+    def test_previous_graph_object_untouched(self, graph):
+        model = EHNA(seed=0, **FAST).fit(graph)
+        before = model.graph
+        model.partial_fit(future_edges(graph, 5))
+        assert model.graph is not before
+        assert before.num_edges == graph.num_edges == 100
+        assert model.graph.num_edges == 105
+
+    def test_buffered_events_are_trained_with_the_batch(self, graph, monkeypatch):
+        """Events buffered through extend_in_place before a partial_fit(edges)
+        are claimed and trained on with the batch, not silently dropped."""
+        model = EHNA(seed=0, **FAST).fit(graph)
+        seen = []
+        apply = model._apply_partial_fit
+
+        def spy(g, fresh, epochs):
+            seen.append(fresh.copy())
+            apply(g, fresh, epochs)
+
+        monkeypatch.setattr(model, "_apply_partial_fit", spy)
+        src, dst, times = future_edges(graph, 8)
+        model.graph.extend_in_place(src[:5], dst[:5], times[:5])
+        model.partial_fit((src[5:], dst[5:], times[5:]))
+        assert len(seen) == 1
+        assert seen[0].size == 8
+        np.testing.assert_array_equal(np.sort(model.graph.time[seen[0]]), times)
+        assert model.graph.take_fresh().size == 0
+
 
 class TestBaselinePartialFit:
     @pytest.mark.parametrize("cls,kw", [

@@ -1,4 +1,9 @@
-"""Tests for TemporalGraph.extend — the partial_fit streaming path."""
+"""Per-case tests of graph growth: ``extend_in_place`` + ``compact``.
+
+Sort position, tie order, fresh-id indexing, node growth and input
+validation, one case each.  The buffering, ``take_fresh`` and copy contracts
+and the randomized interleaving sweep live in ``test_extend_buffered.py``.
+"""
 
 import numpy as np
 import pytest
@@ -15,61 +20,62 @@ def base_graph() -> TemporalGraph:
     )
 
 
+def grown(src, dst, t, w=None, num_nodes=None):
+    """``base_graph()`` with one batch appended and compacted."""
+    g = base_graph().extend_in_place(src, dst, t, w, num_nodes=num_nodes)
+    return g, g.compact()
+
+
 class TestExtend:
     def test_appends_and_sorts(self):
-        g = base_graph()
-        g2, fresh = g.extend([3], [0], [2.5])
-        assert g2.num_edges == 5
-        assert np.all(np.diff(g2.time) >= 0)
+        g, fresh = grown([3], [0], [2.5])
+        assert g.num_edges == 5
+        assert np.all(np.diff(g.time) >= 0)
         # The arrival with t=2.5 lands between t=2 and t=3.
         assert fresh.tolist() == [2]
-        assert g2.src[2] == 3 and g2.dst[2] == 0
-
-    def test_original_untouched(self):
-        g = base_graph()
-        g.extend([3], [0], [10.0])
-        assert g.num_edges == 4
+        assert g.src[2] == 3 and g.dst[2] == 0
 
     def test_fresh_ids_index_new_graph(self):
-        g = base_graph()
-        src, dst, t = [1, 0], [3, 3], [0.5, 9.0]
-        g2, fresh = g.extend(src, dst, t)
+        g, fresh = grown([1, 0], [3, 3], [0.5, 9.0])
         assert fresh.size == 2
-        np.testing.assert_array_equal(np.sort(g2.time[fresh]), [0.5, 9.0])
-        pairs = {(int(g2.src[e]), int(g2.dst[e])) for e in fresh}
+        np.testing.assert_array_equal(np.sort(g.time[fresh]), [0.5, 9.0])
+        pairs = {(int(g.src[e]), int(g.dst[e])) for e in fresh}
         assert pairs == {(1, 3), (0, 3)}
 
     def test_equal_times_append_after_existing(self):
-        g = base_graph()
-        g2, fresh = g.extend([3], [1], [2.0])  # ties with the existing t=2 edge
+        g, fresh = grown([3], [1], [2.0])  # ties with the existing t=2 edge
         assert fresh.tolist() == [2]  # stable: after the old t=2 edge (id 1)
-        assert g2.src[1] == 1 and g2.dst[1] == 2
+        assert g.src[1] == 1 and g.dst[1] == 2
 
     def test_new_nodes_grow_id_space(self):
         g = base_graph()
-        g2, _ = g.extend([0], [7], [5.0])
-        assert g2.num_nodes == 8
-        assert g.num_nodes == 4
+        twin = g.copy().extend_in_place([0], [7], [5.0])
+        assert twin.num_nodes == 8  # grows before compaction
+        assert g.num_nodes == 4  # the copy's growth is its own
+        assert twin.degrees().size == 8
 
     def test_num_nodes_headroom(self):
-        g = base_graph()
-        g2, _ = g.extend([0], [1], [5.0], num_nodes=100)
-        assert g2.num_nodes == 100
+        g, _ = grown([0], [1], [5.0], num_nodes=100)
+        assert g.num_nodes == 100
+        indptr, *_ = g.incidence_csr()
+        assert indptr.size == 101
 
     def test_num_nodes_too_small_rejected(self):
         g = base_graph()
         with pytest.raises(ValueError, match="num_nodes"):
-            g.extend([0], [7], [5.0], num_nodes=5)
+            g.extend_in_place([0], [7], [5.0], num_nodes=5)
+        assert g.num_nodes == 4  # rejected before any state changed
+        assert g.pending_events == 0
 
     def test_empty_batch_is_noop(self):
         g = base_graph()
-        g2, fresh = g.extend([], [], [])
-        assert g2 is g
-        assert fresh.size == 0
+        assert g.extend_in_place([], [], []) is g
+        assert g.compact().size == 0
+        assert g.take_fresh().size == 0
 
     def test_incidence_rebuilt(self):
         g = base_graph()
-        g2, _ = g.extend([3], [0], [5.0])
+        g2, _ = grown([3], [0], [5.0])
         nbrs, times, _ = g2.events_before(3, 6.0)
         assert 0 in nbrs.tolist()
         assert g2.degrees()[3] == g.degrees()[3] + 1
@@ -86,19 +92,19 @@ class TestExtend:
     def test_invalid_edges_rejected(self, src, dst, t, w):
         g = base_graph()
         with pytest.raises(ValueError):
-            g.extend(src, dst, t, w)
+            g.extend_in_place(src, dst, t, w)
+        assert g.pending_events == 0
 
     def test_extend_matches_from_edges(self):
-        """Extending must equal building the union graph from scratch."""
-        g = base_graph()
-        g2, _ = g.extend([3, 1], [0, 3], [2.5, 0.25], weight=[2.0, 1.0])
+        """Growing must equal building the union graph from scratch."""
+        g, _ = grown([3, 1], [0, 3], [2.5, 0.25], w=[2.0, 1.0])
         union = TemporalGraph.from_edges(
             src=np.array([0, 1, 2, 0, 3, 1]),
             dst=np.array([1, 2, 3, 2, 0, 3]),
             time=np.array([1.0, 2.0, 3.0, 4.0, 2.5, 0.25]),
             weight=np.array([1.0, 2.0, 1.0, 3.0, 2.0, 1.0]),
         )
-        np.testing.assert_array_equal(g2.src, union.src)
-        np.testing.assert_array_equal(g2.dst, union.dst)
-        np.testing.assert_array_equal(g2.time, union.time)
-        np.testing.assert_array_equal(g2.weight, union.weight)
+        np.testing.assert_array_equal(g.src, union.src)
+        np.testing.assert_array_equal(g.dst, union.dst)
+        np.testing.assert_array_equal(g.time, union.time)
+        np.testing.assert_array_equal(g.weight, union.weight)

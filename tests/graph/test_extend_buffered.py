@@ -126,11 +126,6 @@ class TestTakeFresh:
         np.testing.assert_array_equal(np.sort(g.time[fresh]), [0.5, 5.0])
         assert fresh.size == 2
 
-    def test_plain_extend_does_not_mark_fresh_for_take(self, path_graph):
-        g2, fresh = path_graph.extend([0], [2], [5.0])
-        assert fresh.size == 1
-        assert g2.take_fresh().size == 0  # extend() hands ids back directly
-
 
 class TestCopy:
     def test_copy_shares_arrays_but_not_growth(self, path_graph):
@@ -176,12 +171,14 @@ class TestPinnedTimeScale:
         g.compact()
         assert not np.array_equal(g.times01()[:4], before)
 
-    def test_pin_propagates_through_extend_and_copy(self, path_graph):
+    def test_pin_propagates_through_compact_and_copy(self, path_graph):
         g = path_graph.copy().pin_time_scale()
         span = g.time_scale
-        g2, _ = g.extend([0], [1], [10.0])
-        assert g2.time_scale == span
-        assert g.copy().time_scale == span
+        twin = g.copy()
+        assert twin.time_scale == span
+        twin.extend_in_place([0], [1], [10.0])
+        twin.compact()
+        assert twin.time_scale == span
 
     def test_pin_validates_its_span(self, path_graph):
         g = path_graph.copy()

@@ -78,10 +78,10 @@ class TestNbytes:
 
 
 class TestExtendKeepsNarrowing:
-    def test_extend_rebuilds_narrowed_index(self, path_graph):
-        g2, fresh = path_graph.extend(
-            np.array([0]), np.array([4]), np.array([9.0])
-        )
+    def test_compact_rebuilds_narrowed_index(self, path_graph):
+        g2 = path_graph.copy()
+        g2.extend_in_place(np.array([0]), np.array([4]), np.array([9.0]))
+        fresh = g2.compact()
         assert g2.index_dtype == np.int32
         assert fresh.dtype == np.int64
         assert g2.num_edges == path_graph.num_edges + 1

@@ -117,9 +117,6 @@ class TestServing:
         span = m.graph.time_span
         make_service(m)
         assert m.graph.time_scale == span
-        m2 = clone(model)
-        make_service(m2, pin_time_scale=False)
-        assert m2.graph.time_scale is None
 
     def test_stats_track_the_full_loop(self, fitted):
         model, graph, held = fitted
