@@ -33,7 +33,9 @@ def main() -> None:
         z = service.encode(query, at=batch.t_lo)  # timed, staleness-tracked
     service.absorb()  # flush: train on whatever is still unabsorbed
 
-    # 4. The service kept score the whole time.
+    # 4. The service kept score the whole time.  The ingest rate counts
+    #    whole ingest calls (validation, append, compaction), less the
+    #    automatic absorbs, which absorb_seconds times.
     stats = service.stats()
     print(f"ingested {stats['events_ingested']} events "
           f"at {stats['ingest_events_per_sec']:,.0f} events/s "

@@ -31,6 +31,7 @@ is ignored and the post-training table row is returned.  EHNA overrides
 from __future__ import annotations
 
 import abc
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,11 @@ import numpy as np
 from repro.graph.temporal_graph import TemporalGraph
 from repro.utils.checkpoint import (
     CheckpointError,
+    _publish_staged,
+    _stage_checkpoint,
     load_checkpoint,
     restore_rng,
     rng_state,
-    save_checkpoint,
 )
 
 
@@ -218,6 +220,11 @@ class EmbeddingMethod(abc.ABC):
         """
         return getattr(self, "precision", None) or "float64"
 
+    #: State a :meth:`_snapshot` froze, and the archive :meth:`_write` staged
+    #: for the next :meth:`save` to publish (``None`` on a live model).
+    _captured: tuple | None = None
+    _staged: tuple | None = None
+
     def save(self, path, watermark: dict | None = None) -> Path:
         """Persist config, RNG state, graph and parameters to a ``.npz``.
 
@@ -232,6 +239,31 @@ class EmbeddingMethod(abc.ABC):
         :meth:`repro.stream.OnlineService.checkpoint`, which is how online
         services snapshot themselves).  Returns the resolved path.
         """
+        if self._staged is None:
+            self._write(path, watermark)
+        staged = self._staged
+        del self._staged  # back to the class default: nothing staged
+        return _publish_staged(staged)
+
+    def _write(self, path, watermark: dict | None = None) -> None:
+        """The slow half of :meth:`save`: stage the archive beside ``path``.
+
+        Checksums and serializes it to a temp file; the next
+        ``save(path, watermark)`` only publishes it (fsync and rename).  On a
+        :meth:`_snapshot` this touches nothing the live model owns, which is
+        how the online service writes its automatic checkpoints on a
+        background thread.
+        """
+        config, arrays, meta, precision = self._captured or self._capture()
+        self._staged = _stage_checkpoint(
+            path, type(self).__name__, config, arrays, meta, precision, watermark
+        )
+
+    def _capture(self) -> tuple[dict, dict, dict, str]:
+        """``(config, arrays, meta, precision)``: what :meth:`save` writes.
+
+        Reading the graph columns compacts any buffered events first.
+        """
         arrays, meta = self._state_dict()
         arrays = dict(arrays)
         meta = dict(meta)
@@ -243,15 +275,30 @@ class EmbeddingMethod(abc.ABC):
             arrays["graph/time"] = self.graph.time
             arrays["graph/weight"] = self.graph.weight
             meta["graph_num_nodes"] = self.graph.num_nodes
-        return save_checkpoint(
-            path,
-            type(self).__name__,
-            self._config_dict(),
-            arrays,
-            meta,
-            precision=self._precision_name(),
-            watermark=watermark,
+        return self._config_dict(), arrays, meta, self._precision_name()
+
+    def _snapshot(self) -> "EmbeddingMethod":
+        """A frozen copy of this model for a later :meth:`_write` + :meth:`save`.
+
+        The state ``save`` would write is captured now, on the calling
+        thread, and every parameter array and header field is copied, so
+        training or ingest after the capture cannot reach the archive.
+        Graph columns are shared: graph growth rebinds them and never
+        writes into them.  The copy is an instance of this model's class
+        that serves only ``_write`` and ``save``.
+        """
+        config, arrays, meta, precision = self._capture()
+        snapshot = object.__new__(type(self))
+        snapshot._captured = (
+            copy.deepcopy(config),
+            {
+                key: arr if key in self._GRAPH_KEYS else np.array(arr)
+                for key, arr in arrays.items()
+            },
+            copy.deepcopy(meta),
+            precision,
         )
+        return snapshot
 
     @classmethod
     def load(cls, path, precision: str | None = None) -> "EmbeddingMethod":

@@ -55,12 +55,35 @@ def validate_event_columns(src, dst, time, weight=None):
     rejected with the same messages everywhere.  Empty columns are allowed
     (a no-op ``extend_in_place`` batch, an empty ingest chunk); callers that need at
     least one event check separately.  ``weight=None`` fills unit weights.
+
+    A valid batch passes one fused test — a single mask over every
+    per-event rule, reduced once; a batch that fails it (or carries weights
+    that are not a float64 array) runs the ordered checks, so the error
+    names the first violated rule exactly as it always has.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     time = np.asarray(time, dtype=np.float64)
     if src.shape != dst.shape or src.shape != time.shape or src.ndim != 1:
         raise ValueError("src, dst and time must be 1-D arrays of equal length")
+    ok = (src != dst) & (src >= 0) & (dst >= 0) & np.isfinite(time)
+    if weight is None:
+        if ok.all():
+            return src, dst, time, np.ones(src.size, dtype=np.float64)
+    elif (
+        isinstance(weight, np.ndarray)
+        and weight.dtype == np.float64
+        and weight.shape == src.shape
+    ):
+        ok &= (weight > 0) & np.isfinite(weight)
+        if ok.all():
+            return src, dst, time, weight
+    return _validate_in_order(src, dst, time, weight)
+
+
+def _validate_in_order(src, dst, time, weight):
+    """Run the event checks one by one, in the precedence order of their
+    errors (``src``, ``dst`` and ``time`` arrive already cast)."""
     if np.any(src == dst):
         raise ValueError("self-loops are not allowed in a temporal network")
     if not np.all(np.isfinite(time)):

@@ -1,7 +1,8 @@
 """Serving metrics: latency percentiles and sustained throughput.
 
-Plain accumulators over wall-clock samples — no background threads, no
-windowing — because the streaming layer is single-threaded by design (see
+Plain accumulators over wall-clock samples — no locks, no windowing —
+because only the service's calling thread records into them (the one
+background thread, the checkpoint writer, never does; see
 ``docs/architecture.md``).  :class:`LatencyTracker` keeps every sample so
 ``p50``/``p99`` are exact order statistics rather than sketch estimates; at
 one float per query this costs less memory than the query's own walk batch.

@@ -32,11 +32,32 @@ monotonicity contract end to end.
 **Durability.** With ``wal_dir=`` every accepted batch is logged to a
 :class:`~repro.stream.wal.WriteAheadLog` *before* it touches the graph, and
 with ``checkpoint_every=`` the service periodically snapshots the model
-atomically (:meth:`checkpoint`), embedding a **stream watermark** — the
-recovery cursor — in the archive header and pruning WAL segments the
-snapshot made redundant.  :meth:`recover` inverts the pair: reload the
-newest checkpoint, restore every service counter from the watermark, and
-replay the WAL suffix past it through the ordinary ingest/absorb loop.
+atomically, embedding a **stream watermark** — the recovery cursor — in the
+archive header and pruning WAL segments the snapshot made redundant.  The
+WAL already makes each batch durable, so an automatic checkpoint keeps
+``ingest`` waiting only for its capture:
+
+- *capture*, on the calling thread: ``EmbeddingMethod._snapshot`` compacts
+  the graph and copies every array and header field a later ingest or
+  absorb could change in place; the watermark is built and the WAL
+  rotated;
+- *write*, on the service's one background ``checkpoint-writer`` thread:
+  checksum and serialize the archive to its temp file;
+- *publish*, back on the service thread: ``EmbeddingMethod.save`` fsyncs
+  the written archive and renames it into place, then the WAL is pruned
+  and the checkpoint counted.
+
+At most one checkpoint is in flight.  ``ingest`` and ``encode`` publish a
+write that already finished; the next capture, :meth:`checkpoint`,
+:meth:`stats` and :meth:`close` wait for it.  A failed write is raised by
+the call that collects it (``ingest`` raises it before touching its
+batch), with nothing pruned; a crash before the publish recovers from the
+previous checkpoint plus the unpruned WAL.  An explicit :meth:`checkpoint`
+runs all three steps on the calling thread.
+
+:meth:`recover` inverts the pair: reload the newest checkpoint, restore
+every service counter from the watermark, and replay the WAL suffix past
+it through the ordinary ingest/absorb loop.
 Because the checkpoint also carries the training RNG state, the recovered
 service is *exactly* the pre-crash one: bitwise-equal event table and
 graph, and encode answers identical (within the precision policy) to a run
@@ -48,6 +69,7 @@ side effects.
 from __future__ import annotations
 
 import time as _time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -89,9 +111,10 @@ class OnlineService:
         Segment-rotation threshold and fsync policy, passed through to
         :class:`~repro.stream.wal.WriteAheadLog`.
     checkpoint_every:
-        When set, :meth:`checkpoint` runs automatically after every
-        ``checkpoint_every`` ingested batches (requires
-        ``checkpoint_path``).
+        When set, a checkpoint is captured after every ``checkpoint_every``
+        ingested batches and written in the background (requires
+        ``checkpoint_path``; see the durability notes in the module
+        docstring).
     checkpoint_path:
         Where :meth:`checkpoint` publishes its atomic snapshot (a ``.npz``
         suffix is appended when missing).
@@ -147,6 +170,11 @@ class OnlineService:
             )
         )
         self._replaying = False
+        # The background checkpoint writer (started by the first automatic
+        # checkpoint, joined by close) and the write in flight on it:
+        # ``(future, capture)`` (see _capture), or None.
+        self._writer: ThreadPoolExecutor | None = None
+        self._in_flight = None
         if model.graph.time_scale is None:
             model.graph.pin_time_scale()
         # The stream head: the graph's edge table is time-sorted, so the
@@ -194,8 +222,20 @@ class OnlineService:
         graph see any of it, so a rejected batch leaves the service bitwise
         unchanged.  With a WAL configured the validated batch is durably
         logged *before* it is applied; a crash between the two replays the
-        batch on recovery instead of losing it.
+        batch on recovery instead of losing it.  A background checkpoint
+        write that failed since the last call is raised before the batch
+        is looked at.
         """
+        t0 = _time.perf_counter()
+        absorb_s = self.absorb_seconds
+        checkpoint_due = (
+            self.checkpoint_every is not None
+            and not self._replaying
+            and (self._batches + 1) % self.checkpoint_every == 0
+        )
+        # The ingest that will capture waits for the write in flight here,
+        # so a failed write is raised before this batch is touched.
+        self._collect(wait=checkpoint_due)
         if isinstance(events, EventBatch):
             events = events.columns()
         src, dst, time, weight = parse_edge_batch(events)
@@ -213,11 +253,9 @@ class OnlineService:
         if self._wal is not None and not self._replaying:
             self._wal.append(src, dst, time, weight, seq=self._batches + 1)
         if time.size:
-            t0 = _time.perf_counter()
             self.graph.extend_in_place(
                 src, dst, time, weight, compact_every=self.compact_every
             )
-            self.ingest_throughput.add(time.size, _time.perf_counter() - t0)
             faults.crash_point("service.ingest.applied")
             self._head = float(time.max())
             self._ingested += time.size
@@ -229,12 +267,22 @@ class OnlineService:
             and self._batches_since_absorb >= self.train_every
         ):
             self.absorb()
-        if (
-            self.checkpoint_every is not None
-            and not self._replaying
-            and self._batches % self.checkpoint_every == 0
-        ):
-            self.checkpoint()
+        if checkpoint_due:
+            if self._writer is None:
+                self._writer = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="checkpoint-writer"
+                )
+            capture = self._capture(None)
+            snapshot, target, watermark, _ = capture
+            self._in_flight = (
+                self._writer.submit(snapshot._write, target, watermark),
+                capture,
+            )
+        # The automatic absorb this call ran is timed in absorb_seconds.
+        self.ingest_throughput.add(
+            time.size,
+            _time.perf_counter() - t0 - (self.absorb_seconds - absorb_s),
+        )
         return self
 
     def absorb(self, epochs: int | None = None) -> "OnlineService":
@@ -261,8 +309,10 @@ class OnlineService:
 
         Delegates to ``model.encode(nodes, at=at)`` and records the
         wall-clock latency.  Answers reflect the model state as of the last
-        absorb (see the staleness model in the module docstring).
+        absorb (see the staleness model in the module docstring).  Like
+        :meth:`ingest` it first publishes a finished background write.
         """
+        self._collect(wait=False)
         t0 = _time.perf_counter()
         out = self.model.encode(nodes, at=at)
         self.encode_latency.record(_time.perf_counter() - t0)
@@ -304,11 +354,24 @@ class OnlineService:
     def checkpoint(self, path=None) -> Path:
         """Atomically snapshot the model with this service's watermark.
 
-        Publishes via :meth:`repro.base.EmbeddingMethod.save` (temp file +
+        Synchronous: waits for any background checkpoint, then captures,
+        writes and publishes on the calling thread via
+        :meth:`repro.base.EmbeddingMethod.save` (temp file +
         ``os.replace``; a crash mid-save leaves the previous snapshot
-        intact), then rotates the WAL and prunes every segment the snapshot
-        made redundant — recovery only ever needs the WAL suffix past the
-        watermark.  Returns the published path.
+        intact), then prunes every WAL segment the snapshot made redundant
+        — recovery only ever needs the WAL suffix past the watermark.
+        Returns the published path.
+        """
+        self._collect(wait=True)
+        return self._publish(self._capture(path), pin=path is None)
+
+    def _capture(self, path) -> tuple:
+        """Freeze a checkpoint on the calling thread.
+
+        Returns ``(snapshot, target, watermark, batches)``.  The snapshot
+        holds copies of everything a later ingest or absorb could change in
+        place; the WAL is rotated so batches logged from here on land in
+        segments this checkpoint will not prune.
         """
         target = self.checkpoint_path if path is None else Path(path)
         if target is None:
@@ -317,17 +380,47 @@ class OnlineService:
                 "with checkpoint_path="
             )
         faults.crash_point("service.checkpoint.begin")
-        published = self.model.save(target, watermark=self._watermark())
-        if path is None:
+        snapshot = self.model._snapshot()
+        watermark = self._watermark()
+        if self._wal is not None:
+            self._wal.rotate()
+        return snapshot, target, watermark, self._batches
+
+    def _publish(self, capture: tuple, pin: bool) -> Path:
+        """Publish a captured checkpoint, then prune the WAL and count it.
+
+        ``save`` writes the archive first unless the background writer
+        already did.
+        """
+        snapshot, target, watermark, batches = capture
+        published = snapshot.save(target, watermark=watermark)
+        if pin:
             # Pin the resolved (.npz-suffixed) path so later snapshots
             # replace this one instead of writing a sibling.
             self.checkpoint_path = published
         faults.crash_point("service.checkpoint.published")
         if self._wal is not None:
-            self._wal.rotate()
-            self._wal.prune(self._batches)
+            self._wal.prune(batches)
         self._checkpoints += 1
         return published
+
+    def _collect(self, wait: bool) -> None:
+        """Publish the checkpoint the background writer has in flight.
+
+        With ``wait=False`` a write still running is left alone.  A
+        finished one is settled here, on the service thread: a failed write
+        is raised (nothing is pruned, so the previous checkpoint plus the
+        WAL still recover exactly); a completed one is published, which
+        prunes the WAL.
+        """
+        if self._in_flight is None:
+            return
+        future, capture = self._in_flight
+        if not (wait or future.done()):
+            return
+        self._in_flight = None
+        future.result()
+        self._publish(capture, pin=True)
 
     @classmethod
     def recover(
@@ -406,7 +499,14 @@ class OnlineService:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """One flat snapshot of the service's counters and timings."""
+        """One flat snapshot of the service's counters and timings.
+
+        Waits for a background checkpoint first, so ``checkpoints`` and the
+        WAL figures count it.  ``ingest_events_per_sec`` is events
+        over the wall time of whole ``ingest`` calls, less the automatic
+        absorbs they ran (``absorb_seconds`` reports those).
+        """
+        self._collect(wait=True)
         encode = self.encode_latency.stats()
         return {
             "events_ingested": self._ingested,
@@ -427,9 +527,19 @@ class OnlineService:
         }
 
     def close(self) -> None:
-        """Release the WAL's open segment handle (idempotent)."""
-        if self._wal is not None:
-            self._wal.close()
+        """Finish the background checkpoint, join the checkpoint writer and
+        release the WAL's open segment handle (idempotent).
+
+        A failed write is raised after the writer and the WAL are released.
+        """
+        try:
+            self._collect(wait=True)
+        finally:
+            if self._writer is not None:
+                self._writer.shutdown()
+                self._writer = None
+            if self._wal is not None:
+                self._wal.close()
 
     def __repr__(self) -> str:
         return (

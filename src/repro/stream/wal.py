@@ -189,6 +189,7 @@ class WriteAheadLog:
         self.sync = sync
         self._fh = None  # open handle on the newest segment, or None
         self._fh_size = 0
+        self._rotated = False  # a rotated segment is never reopened
         self._seg_index = 0  # highest segment index ever used
         self._first_seq: int | None = None  # oldest seq still in the log
         self._last_seq = 0  # newest durable seq (0 = empty log)
@@ -370,9 +371,10 @@ class WriteAheadLog:
         ):
             self.rotate()
         if self._fh is None:
-            # Reopen the newest existing segment when it has room, else
-            # start a fresh one (also the very first append's path).
-            segments = self._segment_files()
+            # The first append after opening resumes the newest existing
+            # segment when it has room; after a rotate appends always start
+            # a fresh one, so the rotated segment stays prunable.
+            segments = [] if self._rotated else self._segment_files()
             if segments:
                 index, seg_path = segments[-1]
                 if seg_path.stat().st_size + incoming <= self.segment_max_bytes:
@@ -391,7 +393,12 @@ class WriteAheadLog:
         self._fh_size = len(_SEGMENT_HEADER)
 
     def rotate(self) -> None:
-        """Close the current segment (fsyncing it) so it becomes prunable."""
+        """Close the current segment (fsyncing it) so it becomes prunable.
+
+        The next append starts a fresh segment, so records logged after the
+        rotate never land in a segment a checkpoint is about to prune.
+        """
+        self._rotated = True
         if self._fh is not None:
             self._fh.flush()
             if self.sync != "never":

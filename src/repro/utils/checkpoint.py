@@ -108,6 +108,19 @@ def save_checkpoint(
     truncated.  A leftover ``.tmp`` from a crashed save is overwritten by
     the next save and ignored by :func:`load_checkpoint`.
     """
+    return _publish_staged(
+        _stage_checkpoint(
+            path, class_name, config, arrays, meta, precision, watermark
+        )
+    )
+
+
+def _stage_checkpoint(
+    path, class_name, config, arrays, meta, precision, watermark
+) -> tuple[Path, Path]:
+    """The slow half of :func:`save_checkpoint`: checksum and serialize the
+    archive to ``<path>.tmp``; returns ``(tmp, path)`` for
+    :func:`_publish_staged`."""
     payload = {}
     checksums = {}
     for name, arr in arrays.items():
@@ -136,7 +149,14 @@ def save_checkpoint(
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
         np.savez(faults.wrap_file(fh, "checkpoint.write"), **payload)
-        fh.flush()
+    return tmp, path
+
+
+def _publish_staged(staged: tuple[Path, Path]) -> Path:
+    """The fast half of :func:`save_checkpoint`: fsync a staged archive,
+    rename it over its target and fsync the directory; returns the target."""
+    tmp, path = staged
+    with tmp.open("rb") as fh:
         os.fsync(fh.fileno())
     faults.crash_point("checkpoint.before_publish")
     os.replace(tmp, path)  # the checkpoint appears (or updates) atomically

@@ -56,6 +56,11 @@ class InjectedCrash(RuntimeError):
 #: in the order the cycle hits them.  Points suffixed ``:torn`` are armed
 #: with a byte limit (a partial write is left on disk); the rest crash
 #: cleanly at the marker.  The crash-everywhere recovery sweep iterates this.
+#: Every point fires on the service's calling thread except
+#: ``checkpoint.write``, which an automatic checkpoint hits on its background
+#: writer thread; that crash surfaces from the next call that collects the
+#: write.  The two publish points after it fire on the service thread when
+#: that call publishes.
 SERVICE_INJECTION_POINTS = (
     "service.ingest.validated",  # batch validated; nothing durable yet
     "wal.append.begin",  # inside the WAL, before any bytes hit the segment
@@ -64,8 +69,8 @@ SERVICE_INJECTION_POINTS = (
     "service.ingest.applied",  # graph extended, counters not yet updated
     "service.absorb.begin",  # before partial_fit trains
     "service.absorb.trained",  # trained, staleness not yet reset
-    "service.checkpoint.begin",  # before the snapshot starts
-    "checkpoint.write:torn",  # temp archive half-written, old ckpt intact
+    "service.checkpoint.begin",  # before the snapshot is captured
+    "checkpoint.write:torn",  # writer: temp archive half-written, old ckpt intact
     "checkpoint.before_publish",  # temp complete + fsynced, not yet renamed
     "service.checkpoint.published",  # os.replace done, WAL not yet pruned
 )

@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+
 import numpy as np
 import pytest
 
 from repro.datasets import temporal_sbm, tmall_like
 from repro.graph import TemporalGraph
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_checkpoint_writer_outlives_the_session():
+    """Fail the run if a checkpoint-writer thread is still alive at its end.
+
+    ``OnlineService.close`` joins its background checkpoint writer; the
+    writer of a service dropped without ``close`` exits once the service
+    is collected.  A writer still running after that is hung or leaked.
+    """
+    yield
+    gc.collect()
+    leaked = []
+    for thread in threading.enumerate():
+        if thread.name.startswith("checkpoint-writer"):
+            thread.join(timeout=10)
+            if thread.is_alive():
+                leaked.append(thread.name)
+    assert not leaked, f"checkpoint writer threads outlived the tests: {leaked}"
 
 
 @pytest.fixture(autouse=True)

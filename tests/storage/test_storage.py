@@ -72,6 +72,44 @@ class TestValidateEventColumns:
         with pytest.raises(ValueError, match=match):
             validate_event_columns(src, dst, time, weight)
 
+    @pytest.mark.parametrize("as_array", [True, False])
+    @pytest.mark.parametrize(
+        "src,dst,time,weight,message",
+        [
+            # A self-loop on one event and a negative id on another.
+            (
+                [0, -1, 2],
+                [0, 1, 3],
+                [1.0, 2.0, 3.0],
+                [1.0, 1.0, 1.0],
+                "self-loops are not allowed in a temporal network",
+            ),
+            (
+                [-1, 2],
+                [1, 3],
+                [1.0, np.nan],
+                [1.0, 0.0],
+                "timestamps must be finite",
+            ),
+            (
+                [-1, 2],
+                [1, 3],
+                [1.0, 2.0],
+                [1.0, 0.0],
+                "edge weights must be finite and positive",
+            ),
+        ],
+        ids=["self-loop+negative-id", "nan-time+zero-weight", "zero-weight+negative-id"],
+    )
+    def test_the_first_rule_in_order_names_a_batch_with_two_violations(
+        self, src, dst, time, weight, message, as_array
+    ):
+        if as_array:
+            src, dst, time, weight = map(np.asarray, (src, dst, time, weight))
+        with pytest.raises(ValueError) as info:
+            validate_event_columns(src, dst, time, weight)
+        assert str(info.value) == message
+
 
 class TestArrayStorage:
     def test_columns_and_counts(self):

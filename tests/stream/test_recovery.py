@@ -11,9 +11,13 @@ checkpoint cycle.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import repro.base
 from repro.core import EHNA
 from repro.datasets import load
 from repro.stream import EventStreamLoader, OnlineService, WALError, WriteAheadLog
@@ -103,6 +107,9 @@ class TestCrashEverywhere:
             with pytest.raises(InjectedCrash):
                 for batch in batches:
                     svc.ingest(batch)
+                # The automatic checkpoint's write runs on the background
+                # writer; close() drains it and raises its crash.
+                svc.close()
         assert fault.fired, f"stream never reached {point}"
 
         recovered = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
@@ -178,6 +185,7 @@ class TestRecoveryEdgeCases:
         ck = svc.checkpoint()
         for batch in batches[:3]:
             svc.ingest(batch)
+        svc.close()  # both recoveries read the archive batch 3 published
         first = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
         second = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
         np.testing.assert_array_equal(first.graph.src, second.graph.src)
@@ -225,6 +233,140 @@ class TestRecoveryEdgeCases:
         assert WriteAheadLog(tmp_path / "wal").first_seq == len(batches) + 1
         with pytest.raises(WALError, match="pruned by a newer checkpoint"):
             OnlineService.recover(first_ck, wal_dir=tmp_path / "wal")
+
+
+def writer_threads() -> set:
+    return {
+        t for t in threading.enumerate() if t.name.startswith("checkpoint-writer")
+    }
+
+
+@pytest.fixture
+def held_writer(monkeypatch):
+    """Block the background writer's archive write until ``.set()``.
+
+    Synchronous saves on the test's own thread pass straight through.
+    """
+    release = threading.Event()
+    write = repro.base._stage_checkpoint
+
+    def held(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            assert release.wait(timeout=30), "the held writer was never released"
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(repro.base, "_stage_checkpoint", held)
+    return release
+
+
+def assert_same_archive(path, expected_path):
+    got, want = load_checkpoint(path), load_checkpoint(expected_path)
+    assert got.class_name == want.class_name
+    assert got.config == want.config
+    assert got.meta == want.meta
+    assert got.watermark == want.watermark
+    assert sorted(got.arrays) == sorted(want.arrays)
+    for key in want.arrays:
+        np.testing.assert_array_equal(got.arrays[key], want.arrays[key])
+
+
+class TestBackgroundPublish:
+    """Automatic checkpoints: captured by ingest, written by one background
+    writer, published on the service thread."""
+
+    def test_published_archive_is_the_state_at_capture(
+        self, world, tmp_path, held_writer
+    ):
+        svc, batches = fresh_service(world, tmp_path)
+        for batch in batches[:CHECKPOINT_EVERY]:
+            svc.ingest(batch)  # the last one captures; the write is held
+        at_capture = svc.model.save(
+            tmp_path / "sync.npz", watermark=svc._watermark()
+        )
+        # Meanwhile the model changes in place: a parameter buffer is
+        # written into, and the next absorb extends the loss history.
+        svc.model.embedding.weight.data += 1.0
+        svc.ingest(batches[CHECKPOINT_EVERY])  # auto-absorbs
+        assert not (tmp_path / "ck.npz").exists()
+        held_writer.set()
+        svc.close()
+        assert_same_archive(tmp_path / "ck.npz", at_capture)
+
+    def test_ingest_and_encode_do_not_wait_for_the_publish(
+        self, world, tmp_path, held_writer
+    ):
+        svc, batches = fresh_service(world, tmp_path)
+        for batch in batches:
+            svc.ingest(batch)  # batch 3 captures; batch 4 runs meanwhile
+        svc.encode([0, 1])
+        assert svc.wal.first_seq == 1  # nothing pruned before the publish
+        held_writer.set()
+        stats = svc.stats()  # waits for the publish, then prunes
+        assert stats["checkpoints"] == 1
+        assert load_checkpoint(tmp_path / "ck.npz").watermark["batches"] == 3
+        assert svc.wal.first_seq == 4
+        svc.close()
+
+    @pytest.mark.faults
+    def test_a_failed_publish_is_raised_once_and_loses_nothing(
+        self, world, reference, tmp_path
+    ):
+        svc, batches = fresh_service(world, tmp_path)
+        ck = svc.checkpoint()
+        anchor = load_checkpoint(ck).watermark
+        with faults.inject("checkpoint.write", byte_limit=512) as fault:
+            for batch in batches[:CHECKPOINT_EVERY]:
+                svc.ingest(batch)
+            with pytest.raises(InjectedCrash):
+                svc.stats()  # the first call that collects the publish
+        assert fault.fired
+        stats = svc.stats()  # raised once, not again
+        assert stats["checkpoints"] == 1  # the anchor only
+        assert load_checkpoint(ck).watermark == anchor
+        assert [r.seq for r in svc.wal.records()] == [1, 2, 3]
+        svc.close()
+
+        recovered = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
+        assert recovered.stats()["batches_ingested"] == CHECKPOINT_EVERY
+        for batch in batches[CHECKPOINT_EVERY:]:
+            recovered.ingest(batch)
+        assert_matches_reference(recovered, reference)
+        recovered.close()
+
+    def test_checkpoint_per_batch_under_rapid_thread_switching(
+        self, world, reference, tmp_path
+    ):
+        # Every ingest captures while the previous write may still run, and
+        # the interpreter switches threads every microsecond: the newest
+        # archive must still be the live state at its capture.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            svc, batches = fresh_service(world, tmp_path, checkpoint_every=1)
+            for batch in batches:
+                svc.ingest(batch)
+                svc.encode([0, 1])
+            stats = svc.stats()
+            svc.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["checkpoints"] == len(batches)
+        assert list(svc.wal.records()) == []
+        ck = tmp_path / "ck.npz"
+        assert load_checkpoint(ck).watermark["batches"] == len(batches)
+        assert_matches_reference(OnlineService.recover(ck), reference)
+
+    def test_close_joins_the_writer_and_is_idempotent(self, world, tmp_path):
+        before = writer_threads()
+        svc, batches = fresh_service(world, tmp_path)
+        for batch in batches[:CHECKPOINT_EVERY]:
+            svc.ingest(batch)
+        started = writer_threads() - before
+        assert len(started) == 1
+        svc.close()
+        assert not any(thread.is_alive() for thread in started)
+        svc.close()
+        assert svc.stats()["checkpoints"] == 1
 
 
 class TestIngestAtomicity:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,31 @@ class TestServing:
         assert s["encode_queries"] == len(loader)
         assert s["staleness_events"] == 0
         assert s["absorb_seconds"] > 0
+
+    def test_ingest_rate_times_whole_calls_less_auto_absorbs(
+        self, fitted, monkeypatch
+    ):
+        import repro.stream.service as service_module
+
+        validate = service_module.validate_event_columns
+
+        def slow_validate(*columns):
+            time.sleep(0.002)  # outside the graph append
+            return validate(*columns)
+
+        monkeypatch.setattr(service_module, "validate_event_columns", slow_validate)
+        model, graph, held = fitted
+        svc = make_service(clone(model), train_every=2)
+        loader = EventStreamLoader.from_graph(graph, held, batch_size=16)
+        outside = 0.0
+        for batch in loader:
+            t0 = time.perf_counter()
+            svc.ingest(batch)
+            outside += time.perf_counter() - t0
+        timed = svc.ingest_throughput.seconds
+        assert timed >= 0.002 * len(loader)
+        assert svc.absorb_seconds > 0
+        assert timed <= outside - svc.absorb_seconds + 1e-9
 
     def test_absorbed_events_change_the_served_table(self, fitted):
         model, graph, held = fitted
