@@ -8,6 +8,11 @@ Implements exactly the components Algorithm 1 of the paper requires:
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
+
 import numpy as np
 
 from repro.nn import init
@@ -248,6 +253,101 @@ class StackedLSTM(Module):
         return fused_stacked_lstm(x, self.layers, mask=mask)
 
 
+#: Fewest rows one piece of a row-split :func:`fused_stacked_lstm` call may
+#: hold.  A GEMM over a block of at least this many rows rounds each row
+#: exactly as the whole-batch GEMM does, while small blocks take other BLAS
+#: paths (a 1-row piece, or B = 64 and 100 cut into 32-50-row pieces, round
+#: differently).
+_MIN_PIECE_ROWS = 128
+
+#: Narrowest input and hidden size whose calls split.  A row block of the
+#: backward ``dz @ W.T`` GEMM with 9 or fewer output columns (4, 8 and 9
+#: measured) rounds differently from the whole-batch GEMM; 10-48 agree.
+_MIN_SPLIT_WIDTH = 16
+
+#: Most rows a piece holds.  At D = H = 32 an up-to-240-row step GEMM takes
+#: OpenBLAS's small-matrix path, about twice as fast per row as the 790-row
+#: GEMM of a whole training batch, and the piece's tapes and scratch stay in
+#: a core's L2 cache through a step.
+_PIECE_ROWS = 240
+
+#: Name prefix of the kernel's worker threads.
+_POOL_NAME = "fused-lstm"
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_pieces(batch: int, width: int, count: int | None = None) -> list[slice]:
+    """Contiguous row slices of at most ``_PIECE_ROWS`` rows where the floor
+    allows (``count`` of them if given), none under ``_MIN_PIECE_ROWS``;
+    one slice when ``width`` (the narrower of input and hidden size) is
+    under ``_MIN_SPLIT_WIDTH``."""
+    if count is None:
+        count = -(-batch // _PIECE_ROWS)
+    if width < _MIN_SPLIT_WIDTH:
+        count = 1
+    count = max(1, min(count, batch // _MIN_PIECE_ROWS))
+    bounds = [batch * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The kernel's private pool, started by the first call that splits."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max(_cores() - 1, 1), thread_name_prefix=_POOL_NAME
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the parent's pool in a forked child, where its threads do not exist."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_split(tasks) -> None:
+    """Run the tasks in contiguous runs, one run per core: the first on the
+    calling thread, the others on the pool.  One core runs them all inline.
+
+    Workers run under the caller's floating-point error state (NumPy keeps
+    it per thread).  Every task has finished when this returns or raises.
+    """
+    n_runs = min(_cores(), len(tasks)) if len(tasks) > 1 else 1
+    bounds = [len(tasks) * k // n_runs for k in range(n_runs + 1)]
+    runs = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    errors = np.geterr()
+
+    def worker(run) -> None:
+        with np.errstate(**errors):
+            for task in run:
+                task()
+
+    futures = [_worker_pool().submit(worker, run) for run in runs[1:]]
+    try:
+        for task in runs[0]:
+            task()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = None) -> Tensor:
     """Masked multi-layer LSTM as **one** autograd node.
 
@@ -258,6 +358,23 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
     layers top-down, timesteps in reverse — that accumulates gradients for
     the input and every weight in a handful of array ops per step instead of
     a long chain of per-op closures.
+
+    Rows (walks) are independent in both sweeps.  A call with at least
+    ``2 * _MIN_PIECE_ROWS`` rows, and input and hidden sizes of at least
+    ``_MIN_SPLIT_WIDTH``, splits them into contiguous pieces of at most
+    ``_PIECE_ROWS`` rows, dealt in contiguous runs to the cores the process
+    may use: the calling thread runs the first run and a private pool the
+    others (one core runs them all inline).  The weight gradients, which sum
+    over every row, run after each layer's sweep as two independent chains
+    over the whole batch (``W_ih``; ``W_hh`` and the bias), each accumulating
+    in the sweep's step order through one ``dz`` tape.  Every value therefore
+    comes from the same operations in the same order whatever the piece
+    count, and the two floors keep each piece's GEMMs rounding as the whole
+    batch's do.  Workers run numpy only: no autograd, no traced callable.
+
+    Gates are computed with weight columns permuted to ``[i, f, o | g]`` and
+    taped gate-major, so one in-place sigmoid covers three gates and every
+    per-step operation reads and writes contiguous blocks.
 
     Parameters
     ----------
@@ -288,164 +405,180 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
 
     hs = layers[0].hidden_size
     n_layers = len(layers)
-    # Per-layer forward tapes for the backward sweep.
-    tape_x: list[np.ndarray] = []  # (T, B, D_l) inputs of each layer
-    tape_gates: list[np.ndarray] = []  # (T, B, 4H) post-nonlinearity gates
-    tape_tc: list[np.ndarray] = []  # (T, B, H) tanh of pre-mask cell states
-    tape_carry_h: list[np.ndarray] = []  # (T, B, H) carried hidden states
-    tape_carry_c: list[np.ndarray] = []  # (T, B, H) carried cell states
-
+    pieces = _row_pieces(batch, min(x.shape[2], hs))
     if mask is None:
         m_col = m_inv = None
     else:
         m_col = np.ascontiguousarray(mask.T).reshape(steps, batch, 1)
         m_inv = 1.0 - m_col
 
+    # Forward weights with the gate columns in [i, f, o | g] order, so one
+    # sigmoid covers three gates.  The copies must be C-contiguous: a
+    # column-permuted view is F-ordered, which BLAS rounds differently.
+    perm = np.r_[0 : 2 * hs, 3 * hs : 4 * hs, 2 * hs : 3 * hs]
+    fwd_weights = [
+        (
+            np.array(layer.w_ih.data[:, perm], order="C"),
+            np.array(layer.w_hh.data[:, perm], order="C"),
+            layer.bias.data[perm],
+        )
+        for layer in layers
+    ]
+    # Per-layer forward tapes for the backward sweep.
+    tape_x: list[np.ndarray] = []  # (T, B, D_l) inputs of each layer
+    tape_gates: list[np.ndarray] = []  # (T, 4, B, H) gates, gate-major [i, f, o, g]
+    tape_tc: list[np.ndarray] = []  # (T, B, H) tanh of pre-mask cell states
+    tape_carry_h: list[np.ndarray] = []  # (T, B, H) carried hidden states
+    tape_carry_c: list[np.ndarray] = []  # (T, B, H) carried cell states
     inp = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))  # (T, B, D)
-    for layer in layers:
-        w_ih, w_hh, bias = layer.w_ih.data, layer.w_hh.data, layer.bias.data
-        gates = np.empty((steps, batch, 4 * hs), dtype=real)
-        tc_seq = np.empty((steps, batch, hs), dtype=real)
-        h_seq = np.empty((steps, batch, hs), dtype=real)
-        c_seq = np.empty((steps, batch, hs), dtype=real)
-        h = np.zeros((batch, hs), dtype=real)
-        c = np.zeros((batch, hs), dtype=real)
-        for t in range(steps):
-            # Same association order as LSTM.step: (x@Wih + h@Whh) + bias.
-            z = inp[t] @ w_ih
-            z += h @ w_hh
-            z += bias
-            gz = gates[t]
-            _sigmoid(z[:, : 2 * hs], out=gz[:, : 2 * hs])  # i, f
-            _sigmoid(z[:, 3 * hs :], out=gz[:, 3 * hs :])  # o
-            np.tanh(z[:, 2 * hs : 3 * hs], out=gz[:, 2 * hs : 3 * hs])
-            i = gz[:, 0:hs]
-            f = gz[:, hs : 2 * hs]
-            g = gz[:, 2 * hs : 3 * hs]
-            o = gz[:, 3 * hs : 4 * hs]
-            if m_col is not None:
-                c_new = f * c  # (f*c) + (i*g), in place
-                c_new += i * g
-                np.tanh(c_new, out=tc_seq[t])
-                h_new = o * tc_seq[t]
-                np.multiply(m_col[t], h_new, out=h_seq[t])
-                h_seq[t] += m_inv[t] * h
-                np.multiply(m_col[t], c_new, out=c_seq[t])
-                c_seq[t] += m_inv[t] * c
-            else:
-                np.multiply(f, c, out=c_seq[t])
-                c_seq[t] += i * g
-                np.tanh(c_seq[t], out=tc_seq[t])
-                np.multiply(o, tc_seq[t], out=h_seq[t])
-            h = h_seq[t]
-            c = c_seq[t]
+    for _ in layers:
         tape_x.append(inp)
-        tape_gates.append(gates)
-        tape_tc.append(tc_seq)
-        tape_carry_h.append(h_seq)
-        tape_carry_c.append(c_seq)
-        inp = h_seq  # carried outputs feed the next layer
+        tape_gates.append(np.empty((steps, 4, batch, hs), dtype=real))
+        tape_tc.append(np.empty((steps, batch, hs), dtype=real))
+        tape_carry_c.append(np.empty((steps, batch, hs), dtype=real))
+        inp = np.empty((steps, batch, hs), dtype=real)
+        tape_carry_h.append(inp)  # carried outputs feed the next layer
 
+    def forward_piece(rows: slice) -> None:
+        n = rows.stop - rows.start
+        z = np.empty((n, 4 * hs), dtype=real)
+        zh = np.empty_like(z)
+        work = (np.empty((3, n, hs), dtype=real), np.empty((3, n, hs), dtype=bool))
+        buf = np.empty((n, hs), dtype=real)
+        c_new = np.empty((n, hs), dtype=real)
+        zero = np.zeros((n, hs), dtype=real)
+        for li in range(n_layers):
+            w_ih, w_hh, bias = fwd_weights[li]
+            xs, gates, tc_seq = tape_x[li], tape_gates[li], tape_tc[li]
+            h_seq, c_seq = tape_carry_h[li], tape_carry_c[li]
+            h = c = zero
+            for t in range(steps):
+                # Same association order as LSTM.step: (x@Wih + h@Whh) + bias.
+                np.matmul(xs[t, rows], w_ih, out=z)
+                np.matmul(h, w_hh, out=zh)
+                z += zh
+                z += bias
+                gz = gates[t, :, rows]
+                np.copyto(gz, z.reshape(n, 4, hs).transpose(1, 0, 2))
+                _sigmoid(gz[:3], out=gz[:3], work=work)  # i, f, o
+                np.tanh(gz[3], out=gz[3])
+                i, f, o, g = gz
+                h_t, c_t, tc = h_seq[t, rows], c_seq[t, rows], tc_seq[t, rows]
+                if m_col is None:
+                    np.multiply(f, c, out=c_t)  # (f*c) + (i*g)
+                    np.multiply(i, g, out=buf)
+                    c_t += buf
+                    np.tanh(c_t, out=tc)
+                    np.multiply(o, tc, out=h_t)
+                else:
+                    m, m_skip = m_col[t, rows], m_inv[t, rows]
+                    np.multiply(f, c, out=c_new)
+                    np.multiply(i, g, out=buf)
+                    c_new += buf
+                    np.tanh(c_new, out=tc)
+                    np.multiply(o, tc, out=buf)  # pre-mask h
+                    np.multiply(m, buf, out=h_t)
+                    np.multiply(m_skip, h, out=buf)
+                    h_t += buf
+                    np.multiply(m, c_new, out=c_t)
+                    np.multiply(m_skip, c, out=buf)
+                    c_t += buf
+                h, c = h_t, c_t
+
+    _run_split([partial(forward_piece, rows) for rows in pieces])
     final = tape_carry_h[-1][steps - 1]
 
     def backward(g_final: np.ndarray) -> None:
-        # d_out[t]: gradient on layer l's carried output h_t from the layer
-        # above; None for the top layer, whose only downstream gradient is
-        # g_final on the final carried state.
-        d_out = None
-        for li in range(n_layers - 1, -1, -1):
+        # One dz tape, (T, B, 4H) in the weights' [i, f, g, o] order, reused
+        # by every layer: the sweep fills it, the weight chains read it.
+        dz = np.empty((steps, batch, 4 * hs), dtype=real)
+
+        def sweep_piece(li: int, d_out, d_in: np.ndarray, rows: slice) -> None:
+            # d_out[t]: gradient on layer li's carried output h_t from the
+            # layer above; None for the top layer, whose only downstream
+            # gradient is g_final on the final carried state.
             layer = layers[li]
             w_ih, w_hh = layer.w_ih.data, layer.w_hh.data
-            gates = tape_gates[li]
-            tc_seq = tape_tc[li]
-            h_seq = tape_carry_h[li]
-            c_seq = tape_carry_c[li]
-            xs = tape_x[li]
-            # One vectorized pass over the whole tape for the gate-derivative
-            # factors; the trailing multiplication order per step is unchanged
-            # (same rounding as the stepwise reference).
-            gi = gates[:, :, 0:hs]
-            gf = gates[:, :, hs : 2 * hs]
-            ggg = gates[:, :, 2 * hs : 3 * hs]
-            go = gates[:, :, 3 * hs : 4 * hs]
-            om_i = 1.0 - gi
-            om_f = 1.0 - gf
-            om_g2 = 1.0 - ggg * ggg
-            om_o = 1.0 - go
-            om_tc2 = 1.0 - tc_seq * tc_seq
-            d_in = np.empty_like(xs)
-            d_w_ih = np.zeros_like(w_ih) if layer.w_ih.requires_grad else None
-            d_w_hh = np.zeros_like(w_hh) if layer.w_hh.requires_grad else None
-            d_bias = (
-                np.zeros_like(layer.bias.data) if layer.bias.requires_grad else None
-            )
-            dh = np.zeros((batch, hs), dtype=real)  # recurrent grad on carried h_t
-            dc = np.zeros((batch, hs), dtype=real)  # recurrent grad on carried c_t
-            # Scratch buffers reused across steps; every slot is fully
-            # rewritten before it is read in each iteration.  All in-place
-            # chains keep the reference's left-to-right association.
-            dz = np.empty((batch, 4 * hs), dtype=real)
-            b_hnew = np.empty((batch, hs), dtype=real)
-            b_hskip = np.empty((batch, hs), dtype=real)
-            b_cnew = np.empty((batch, hs), dtype=real)
-            b_cskip = np.empty((batch, hs), dtype=real)
-            b_do = np.empty((batch, hs), dtype=real)
-            b_tmp = np.empty((batch, hs), dtype=real)
+            gates, tc_seq, c_seq = tape_gates[li], tape_tc[li], tape_carry_c[li]
+            n = rows.stop - rows.start
+            dh = np.zeros((n, hs), dtype=real)  # recurrent grad on carried h_t
+            dc = np.zeros((n, hs), dtype=real)  # recurrent grad on carried c_t
+            # Scratch reused across steps; every slot is fully rewritten
+            # before it is read, and every in-place chain keeps the stepwise
+            # reference's left-to-right association.
+            prod = np.empty((4, n, hs), dtype=real)  # gate-major dz, [i, f, g, o]
+            om = np.empty((4, n, hs), dtype=real)  # its derivative factors
+            buf = np.empty((n, hs), dtype=real)
+            om_tc2 = np.empty((n, hs), dtype=real)
+            if m_col is not None:
+                dh_new = np.empty((n, hs), dtype=real)
+                dc_new = np.empty((n, hs), dtype=real)
+                dh_skip = np.empty((n, hs), dtype=real)
+                dc_skip = np.empty((n, hs), dtype=real)
             for t in range(steps - 1, -1, -1):
                 if d_out is not None:
-                    dh_total = dh + d_out[t]
+                    dh += d_out[t, rows]
+                    dh_total = dh
                 elif t == steps - 1:
-                    dh_total = g_final
+                    dh_total = g_final[rows]
                 else:
                     dh_total = dh
                 if m_col is not None:
-                    dh_new = np.multiply(m_col[t], dh_total, out=b_hnew)
-                    np.multiply(m_inv[t], dh_total, out=b_hskip)
-                    dc_new = np.multiply(m_col[t], dc, out=b_cnew)
-                    np.multiply(m_inv[t], dc, out=b_cskip)
+                    m, m_skip = m_col[t, rows], m_inv[t, rows]
+                    np.multiply(m, dh_total, out=dh_new)
+                    np.multiply(m_skip, dh_total, out=dh_skip)
+                    np.multiply(m, dc, out=dc_new)
+                    np.multiply(m_skip, dc, out=dc_skip)
                 else:
-                    dh_new = dh_total
-                    np.copyto(b_cnew, dc)
-                    dc_new = b_cnew
-                i = gi[t]
-                f = gf[t]
-                gg = ggg[t]
-                o = go[t]
-                do = np.multiply(dh_new, tc_seq[t], out=b_do)
-                # dc_new += ((dh_new * o) * om_tc2), left to right
-                np.multiply(dh_new, o, out=b_tmp)
-                b_tmp *= om_tc2[t]
-                dc_new += b_tmp
-                c_prev = c_seq[t - 1] if t > 0 else 0.0
-                h_prev = h_seq[t - 1] if t > 0 else None
-                np.multiply(dc_new, gg, out=b_tmp)
-                b_tmp *= i
-                np.multiply(b_tmp, om_i[t], out=dz[:, 0:hs])
-                np.multiply(dc_new, c_prev, out=b_tmp)
-                b_tmp *= f
-                np.multiply(b_tmp, om_f[t], out=dz[:, hs : 2 * hs])
-                np.multiply(dc_new, i, out=b_tmp)
-                np.multiply(b_tmp, om_g2[t], out=dz[:, 2 * hs : 3 * hs])
-                np.multiply(do, o, out=b_tmp)
-                np.multiply(b_tmp, om_o[t], out=dz[:, 3 * hs : 4 * hs])
-                np.matmul(dz, w_ih.T, out=d_in[t])
-                if d_w_ih is not None:
-                    d_w_ih += xs[t].T @ dz
-                if d_w_hh is not None and h_prev is not None:
-                    d_w_hh += h_prev.T @ dz
-                if d_bias is not None:
-                    d_bias += dz.sum(axis=0)
-                np.matmul(dz, w_hh.T, out=dh)
+                    dh_new, dc_new = dh_total, dc
+                gz = gates[t, :, rows]
+                i, f, o, g = gz
+                tc = tc_seq[t, rows]
+                np.multiply(dh_new, tc, out=prod[3])  # do
+                # dc_new += ((dh_new * o) * (1 - tc*tc)), left to right
+                np.multiply(dh_new, o, out=buf)
+                np.multiply(tc, tc, out=om_tc2)
+                np.subtract(1.0, om_tc2, out=om_tc2)
+                buf *= om_tc2
+                dc_new += buf
+                # dz per gate: ((dc*g)*i)*(1-i), ((dc*c_prev)*f)*(1-f),
+                # (dc*i)*(1-g*g) and (do*o)*(1-o).
+                np.multiply(dc_new, g, out=prod[0])
+                np.multiply(dc_new, c_seq[t - 1, rows] if t > 0 else 0.0, out=prod[1])
+                np.multiply(dc_new, i, out=prod[2])
+                prod[:2] *= gz[:2]
+                prod[3] *= o
+                np.subtract(1.0, gz[:2], out=om[:2])
+                np.multiply(g, g, out=om[2])
+                np.subtract(1.0, om[2], out=om[2])
+                np.subtract(1.0, o, out=om[3])
+                prod *= om
+                dz_t = dz[t, rows]
+                np.copyto(dz_t.reshape(n, 4, hs), prod.transpose(1, 0, 2))
+                np.matmul(dz_t, w_ih.T, out=d_in[t, rows])
+                np.matmul(dz_t, w_hh.T, out=dh)
                 np.multiply(dc_new, f, out=dc)
                 if m_col is not None:
-                    dh += b_hskip
-                    dc += b_cskip
-            if d_w_ih is not None:
-                layer.w_ih._accumulate(d_w_ih)
-            if d_w_hh is not None:
-                layer.w_hh._accumulate(d_w_hh)
-            if d_bias is not None:
-                layer.bias._accumulate(d_bias)
+                    dh += dh_skip
+                    dc += dc_skip
+
+        d_out = None
+        for li in range(n_layers - 1, -1, -1):
+            layer = layers[li]
+            d_in = np.empty_like(tape_x[li])
+            _run_split([partial(sweep_piece, li, d_out, d_in, rows) for rows in pieces])
+            grads: dict[str, np.ndarray] = {}
+            chains = [
+                partial(_hh_bias_chain, layer, tape_carry_h[li], dz, grads),
+                partial(_ih_chain, layer, tape_x[li], dz, grads),
+            ]
+            if len(pieces) > 1:
+                _run_split(chains)
+            else:
+                for chain in chains:
+                    chain()
+            for name, grad in grads.items():
+                getattr(layer, name)._accumulate(grad)
             d_out = d_in  # becomes the layer below's per-step output grad
         if x.requires_grad:
             x._accumulate(np.swapaxes(d_out, 0, 1))
@@ -456,27 +589,54 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
     return apply_op(final, parents, backward)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic, branchless.
+def _ih_chain(layer: LSTM, xs: np.ndarray, dz: np.ndarray, grads: dict) -> None:
+    """``W_ih``'s gradient over the whole batch, in the sweep's step order."""
+    if layer.w_ih.requires_grad:
+        d_w_ih = np.zeros_like(layer.w_ih.data)
+        for t in range(dz.shape[0] - 1, -1, -1):
+            d_w_ih += xs[t].T @ dz[t]
+        grads["w_ih"] = d_w_ih
+
+
+def _hh_bias_chain(layer: LSTM, h_seq: np.ndarray, dz: np.ndarray, grads: dict) -> None:
+    """``W_hh``'s and the bias's gradients over the whole batch, in step order."""
+    d_w_hh = np.zeros_like(layer.w_hh.data) if layer.w_hh.requires_grad else None
+    d_bias = np.zeros_like(layer.bias.data) if layer.bias.requires_grad else None
+    for t in range(dz.shape[0] - 1, -1, -1):
+        if d_w_hh is not None and t > 0:
+            d_w_hh += h_seq[t - 1].T @ dz[t]
+        if d_bias is not None:
+            d_bias += dz[t].sum(axis=0)
+    if d_w_hh is not None:
+        grads["w_hh"] = d_w_hh
+    if d_bias is not None:
+        grads["bias"] = d_bias
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
+    """Numerically stable logistic, branchless; ``out`` may be ``x`` itself.
 
     Bitwise-identical to :meth:`Tensor.sigmoid` (which splits on sign with
     boolean indexing): with ``e = exp(-|x|)``, the positive branch
     ``1 / (1 + exp(-x))`` and the negative branch ``exp(x) / (1 + exp(x))``
     are both exactly ``select(x >= 0, 1/(1+e), e/(1+e))`` — same exponent
     argument, same division — but evaluated without gather/scatter copies.
+    ``work`` is an optional ``(real, bool)`` pair of ``x``-shaped scratch
+    arrays, so a caller in a loop allocates nothing.
     """
-    e = np.abs(x)
+    e, sign = work if work is not None else (np.empty_like(x), np.empty(x.shape, bool))
+    if out is None:
+        out = np.empty_like(x)
+    np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
+    np.greater_equal(x, 0, out=sign)  # x is fully read before out is written
     # select(x >= 0, 1, e) without a broadcast select: e <= 1, so the max of
     # the 0/1 sign indicator and e is 1 where x >= 0 and e elsewhere (NaN
     # propagates through np.maximum like it does through the select).
-    num = (x >= 0).astype(x.dtype)
-    np.maximum(num, e, out=num)
+    np.maximum(sign, e, out=out)
     e += 1.0  # e becomes the shared denominator
-    if out is None:
-        return np.divide(num, e)
-    np.divide(num, e, out=out)
+    np.divide(out, e, out=out)
     return out
 
 

@@ -222,8 +222,11 @@ class BatchedWalkEngine:
         # Encoded (owner, neighbor) pairs of the distinct CSR.  The CSR is
         # sorted by owner then neighbor, so this flat key array is globally
         # sorted and adjacency tests become one searchsorted for any batch.
+        # The key base is the node count *now*: an ``extend_in_place`` that
+        # brings in a new node id grows the graph, but not these keys.
+        self._key_base = np.int64(graph.num_nodes)
         owners = np.repeat(np.arange(graph.num_nodes, dtype=_I64), self._ddeg)
-        self._pair_keys = owners * graph.num_nodes + dnbr
+        self._pair_keys = owners * self._key_base + dnbr
         del owners  # freed before the index build, which lowers peak memory
         self._log_prefix, self._locator = _sampling_index(
             indptr, times, weights, graph.scale_times, self.decay
@@ -284,7 +287,7 @@ class BatchedWalkEngine:
         # Encoded keys must be computed in int64: narrowed int32 ids would
         # otherwise overflow at num_nodes**2 under NumPy's value-preserving
         # promotion rules.
-        keys = prev.astype(_I64, copy=False) * np.int64(self.graph.num_nodes) + cand
+        keys = prev.astype(_I64, copy=False) * self._key_base + cand
         pos = np.searchsorted(self._pair_keys, keys)
         pos = np.minimum(pos, self._pair_keys.size - 1)
         return self._pair_keys[pos] == keys

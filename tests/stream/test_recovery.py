@@ -185,7 +185,8 @@ class TestRecoveryEdgeCases:
         ck = svc.checkpoint()
         for batch in batches[:3]:
             svc.ingest(batch)
-        svc.close()  # both recoveries read the archive batch 3 published
+        # No drain: the batch-3 write is published only by a later service
+        # call, so both recoveries replay the WAL over the first archive.
         first = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
         second = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
         np.testing.assert_array_equal(first.graph.src, second.graph.src)

@@ -212,3 +212,20 @@ class TestBatchedInvariants:
         )
         assert walks[0].nodes == [2]
         assert walks[1].nodes[:2] == [0, 1]
+
+    def test_adjacency_survives_a_new_node_id_in_place(self, graph):
+        """An ``extend_in_place`` that brings in a new node id grows the
+        graph at once; the engine built before it must still see every edge
+        it was built over as adjacent (Eq. 2's bias), until it is rebuilt."""
+        g = graph.copy()
+        engine = BatchedWalkEngine(g)
+        src, dst = g.src.astype(np.int64), g.dst.astype(np.int64)
+        assert engine._adjacent(src, dst).all()
+        new_id = g.num_nodes + 5
+        g.extend_in_place(
+            np.array([0]), np.array([new_id]), np.array([g.time[-1] + 1.0])
+        )
+        assert g.num_nodes > new_id
+        assert engine._adjacent(src, dst).all()
+        assert engine._adjacent(dst, src).all()
+        assert not engine._adjacent(src[:1], np.array([src[0]])).any()
