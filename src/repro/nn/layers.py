@@ -8,11 +8,6 @@ Implements exactly the components Algorithm 1 of the paper requires:
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
-
 import numpy as np
 
 from repro.nn import init
@@ -268,84 +263,18 @@ _MIN_SPLIT_WIDTH = 16
 #: Most rows a piece holds.  At D = H = 32 an up-to-240-row step GEMM takes
 #: OpenBLAS's small-matrix path, about twice as fast per row as the 790-row
 #: GEMM of a whole training batch, and the piece's tapes and scratch stay in
-#: a core's L2 cache through a step.
+#: L2 cache through a step.
 _PIECE_ROWS = 240
 
-#: Name prefix of the kernel's worker threads.
-_POOL_NAME = "fused-lstm"
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _row_pieces(batch: int, width: int, count: int | None = None) -> list[slice]:
+def _row_pieces(batch: int, width: int) -> list[slice]:
     """Contiguous row slices of at most ``_PIECE_ROWS`` rows where the floor
-    allows (``count`` of them if given), none under ``_MIN_PIECE_ROWS``;
-    one slice when ``width`` (the narrower of input and hidden size) is
-    under ``_MIN_SPLIT_WIDTH``."""
-    if count is None:
-        count = -(-batch // _PIECE_ROWS)
-    if width < _MIN_SPLIT_WIDTH:
-        count = 1
+    allows, none under ``_MIN_PIECE_ROWS``; one slice when ``width`` (the
+    narrower of input and hidden size) is under ``_MIN_SPLIT_WIDTH``."""
+    count = 1 if width < _MIN_SPLIT_WIDTH else -(-batch // _PIECE_ROWS)
     count = max(1, min(count, batch // _MIN_PIECE_ROWS))
     bounds = [batch * k // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The kernel's private pool, started by the first call that splits."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max(_cores() - 1, 1), thread_name_prefix=_POOL_NAME
-            )
-        return _pool
-
-
-def _forget_pool() -> None:
-    """Drop the parent's pool in a forked child, where its threads do not exist."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_split(tasks) -> None:
-    """Run the tasks in contiguous runs, one run per core: the first on the
-    calling thread, the others on the pool.  One core runs them all inline.
-
-    Workers run under the caller's floating-point error state (NumPy keeps
-    it per thread).  Every task has finished when this returns or raises.
-    """
-    n_runs = min(_cores(), len(tasks)) if len(tasks) > 1 else 1
-    bounds = [len(tasks) * k // n_runs for k in range(n_runs + 1)]
-    runs = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    errors = np.geterr()
-
-    def worker(run) -> None:
-        with np.errstate(**errors):
-            for task in run:
-                task()
-
-    futures = [_worker_pool().submit(worker, run) for run in runs[1:]]
-    try:
-        for task in runs[0]:
-            task()
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = None) -> Tensor:
@@ -361,16 +290,13 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
 
     Rows (walks) are independent in both sweeps.  A call with at least
     ``2 * _MIN_PIECE_ROWS`` rows, and input and hidden sizes of at least
-    ``_MIN_SPLIT_WIDTH``, splits them into contiguous pieces of at most
-    ``_PIECE_ROWS`` rows, dealt in contiguous runs to the cores the process
-    may use: the calling thread runs the first run and a private pool the
-    others (one core runs them all inline).  The weight gradients, which sum
-    over every row, run after each layer's sweep as two independent chains
-    over the whole batch (``W_ih``; ``W_hh`` and the bias), each accumulating
-    in the sweep's step order through one ``dz`` tape.  Every value therefore
-    comes from the same operations in the same order whatever the piece
-    count, and the two floors keep each piece's GEMMs rounding as the whole
-    batch's do.  Workers run numpy only: no autograd, no traced callable.
+    ``_MIN_SPLIT_WIDTH``, runs them as contiguous pieces of at most
+    ``_PIECE_ROWS`` rows, one after another, so each step GEMM stays on the
+    small-matrix BLAS path.  The weight gradients, which sum over every row,
+    run after each layer's sweep over the whole batch, accumulating in the
+    sweep's step order through one ``dz`` tape.  Every value therefore comes
+    from the same operations in the same order whatever the piece count, and
+    the two floors keep each piece's GEMMs rounding as the whole batch's do.
 
     Gates are computed with weight columns permuted to ``[i, f, o | g]`` and
     taped gate-major, so one in-place sigmoid covers three gates and every
@@ -460,7 +386,7 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
                 z += bias
                 gz = gates[t, :, rows]
                 np.copyto(gz, z.reshape(n, 4, hs).transpose(1, 0, 2))
-                _sigmoid(gz[:3], out=gz[:3], work=work)  # i, f, o
+                _sigmoid(gz[:3], gz[:3], work)  # i, f, o
                 np.tanh(gz[3], out=gz[3])
                 i, f, o, g = gz
                 h_t, c_t, tc = h_seq[t, rows], c_seq[t, rows], tc_seq[t, rows]
@@ -485,12 +411,13 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
                     c_t += buf
                 h, c = h_t, c_t
 
-    _run_split([partial(forward_piece, rows) for rows in pieces])
+    for rows in pieces:
+        forward_piece(rows)
     final = tape_carry_h[-1][steps - 1]
 
     def backward(g_final: np.ndarray) -> None:
         # One dz tape, (T, B, 4H) in the weights' [i, f, g, o] order, reused
-        # by every layer: the sweep fills it, the weight chains read it.
+        # by every layer: the sweep fills it, the weight gradients read it.
         dz = np.empty((steps, batch, 4 * hs), dtype=real)
 
         def sweep_piece(li: int, d_out, d_in: np.ndarray, rows: slice) -> None:
@@ -566,19 +493,22 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
         for li in range(n_layers - 1, -1, -1):
             layer = layers[li]
             d_in = np.empty_like(tape_x[li])
-            _run_split([partial(sweep_piece, li, d_out, d_in, rows) for rows in pieces])
-            grads: dict[str, np.ndarray] = {}
-            chains = [
-                partial(_hh_bias_chain, layer, tape_carry_h[li], dz, grads),
-                partial(_ih_chain, layer, tape_x[li], dz, grads),
-            ]
-            if len(pieces) > 1:
-                _run_split(chains)
-            else:
-                for chain in chains:
-                    chain()
-            for name, grad in grads.items():
-                getattr(layer, name)._accumulate(grad)
+            for rows in pieces:
+                sweep_piece(li, d_out, d_in, rows)
+            xs, h_seq = tape_x[li], tape_carry_h[li]
+            params = [layer.w_ih, layer.w_hh, layer.bias]
+            grads = [np.zeros_like(p.data) if p.requires_grad else None for p in params]
+            d_w_ih, d_w_hh, d_bias = grads
+            for t in range(steps - 1, -1, -1):  # the sweep's step order
+                if d_w_ih is not None:
+                    d_w_ih += xs[t].T @ dz[t]
+                if d_w_hh is not None and t > 0:
+                    d_w_hh += h_seq[t - 1].T @ dz[t]
+                if d_bias is not None:
+                    d_bias += dz[t].sum(axis=0)
+            for param, grad in zip(params, grads):
+                if grad is not None:
+                    param._accumulate(grad)
             d_out = d_in  # becomes the layer below's per-step output grad
         if x.requires_grad:
             x._accumulate(np.swapaxes(d_out, 0, 1))
@@ -589,44 +519,19 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
     return apply_op(final, parents, backward)
 
 
-def _ih_chain(layer: LSTM, xs: np.ndarray, dz: np.ndarray, grads: dict) -> None:
-    """``W_ih``'s gradient over the whole batch, in the sweep's step order."""
-    if layer.w_ih.requires_grad:
-        d_w_ih = np.zeros_like(layer.w_ih.data)
-        for t in range(dz.shape[0] - 1, -1, -1):
-            d_w_ih += xs[t].T @ dz[t]
-        grads["w_ih"] = d_w_ih
-
-
-def _hh_bias_chain(layer: LSTM, h_seq: np.ndarray, dz: np.ndarray, grads: dict) -> None:
-    """``W_hh``'s and the bias's gradients over the whole batch, in step order."""
-    d_w_hh = np.zeros_like(layer.w_hh.data) if layer.w_hh.requires_grad else None
-    d_bias = np.zeros_like(layer.bias.data) if layer.bias.requires_grad else None
-    for t in range(dz.shape[0] - 1, -1, -1):
-        if d_w_hh is not None and t > 0:
-            d_w_hh += h_seq[t - 1].T @ dz[t]
-        if d_bias is not None:
-            d_bias += dz[t].sum(axis=0)
-    if d_w_hh is not None:
-        grads["w_hh"] = d_w_hh
-    if d_bias is not None:
-        grads["bias"] = d_bias
-
-
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
-    """Numerically stable logistic, branchless; ``out`` may be ``x`` itself.
+def _sigmoid(x: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+    """Numerically stable logistic into ``out``, branchless; ``out`` may be
+    ``x`` itself.
 
     Bitwise-identical to :meth:`Tensor.sigmoid` (which splits on sign with
     boolean indexing): with ``e = exp(-|x|)``, the positive branch
     ``1 / (1 + exp(-x))`` and the negative branch ``exp(x) / (1 + exp(x))``
     are both exactly ``select(x >= 0, 1/(1+e), e/(1+e))`` — same exponent
     argument, same division — but evaluated without gather/scatter copies.
-    ``work`` is an optional ``(real, bool)`` pair of ``x``-shaped scratch
-    arrays, so a caller in a loop allocates nothing.
+    ``work`` is a ``(real, bool)`` pair of ``x``-shaped scratch arrays, so a
+    caller in a loop allocates nothing.
     """
-    e, sign = work if work is not None else (np.empty_like(x), np.empty(x.shape, bool))
-    if out is None:
-        out = np.empty_like(x)
+    e, sign = work
     np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)

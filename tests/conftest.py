@@ -10,25 +10,23 @@ import pytest
 
 from repro.datasets import temporal_sbm, tmall_like
 from repro.graph import TemporalGraph
-from repro.nn.layers import _POOL_NAME
 
 
 @pytest.fixture(scope="session", autouse=True)
 def no_thread_outlives_the_session():
-    """Fail the run if any thread but the main one and the fused LSTM
-    kernel's pool is still alive at its end.
+    """Fail the run if any thread but the main one is still alive at its
+    end.
 
     ``OnlineService.close`` joins its background checkpoint writer; the
     writer of a service dropped without ``close`` exits once the service
     is collected, and so does every other thread a test starts.  A thread
-    still running after that is hung or leaked.  The kernel's pool
-    (``repro.nn.layers``) lives for the process by design.
+    still running after that is hung or leaked.
     """
     yield
     gc.collect()
     leaked = []
     for thread in threading.enumerate():
-        if thread is threading.main_thread() or thread.name.startswith(_POOL_NAME):
+        if thread is threading.main_thread():
             continue
         thread.join(timeout=10)
         if thread.is_alive():

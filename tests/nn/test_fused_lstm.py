@@ -6,10 +6,6 @@ gradients for the input and every weight — including masked/padded
 sequences, and its gradients must match central differences.
 """
 
-import os
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -120,16 +116,15 @@ class TestSigmoid:
             )
             e = np.exp(-np.abs(x))
             old = np.where(x >= 0, 1.0, e) / (e + 1.0)
-            got = _sigmoid(x)
+            work = (np.empty_like(x), np.empty(x.shape, bool))
+            got = _sigmoid(x, np.empty_like(x), work)
             via_tensor = Tensor(x).sigmoid().data
-            out = np.empty_like(x)
-            _sigmoid(x, out=out)
-            in_place = x.copy()  # the kernel's call: in place, with scratch
-            _sigmoid(in_place, out=in_place, work=(np.empty_like(x), np.empty(x.shape, bool)))
+            in_place = x.copy()  # the kernel's call: in place
+            _sigmoid(in_place, in_place, work)
         assert got.dtype == old.dtype == via_tensor.dtype == dtype
         nan = np.isnan(got)
         assert nan.sum() == 1  # NaN in, NaN out; its sign bit is unspecified
-        for ref in (old, via_tensor, out, in_place):
+        for ref in (old, via_tensor, in_place):
             np.testing.assert_array_equal(np.isnan(ref), nan)
             np.testing.assert_array_equal(
                 got[~nan].view(np.uint8), ref[~nan].view(np.uint8)
@@ -183,120 +178,62 @@ class TestFusedValidation:
             )
 
 
-def _pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith(kernel._POOL_NAME)]
-
-
 def _bytes(arrays):
     return [np.ascontiguousarray(a).view(np.uint8) for a in arrays]
 
 
 class TestRowSplit:
-    """A call split into row pieces is byte-equal to the one-piece call.
+    """A call run as row pieces is byte-equal to the one-piece call.
 
-    Every piece runs its rows' recurrence and BPTT sweep (possibly on a
-    worker thread); the weight gradients sum over the whole batch after each
-    layer's sweep, in step order, whatever the piece count.
+    Every piece runs its rows' recurrence and BPTT sweep; the weight
+    gradients sum over the whole batch after each layer's sweep, in step
+    order, whatever the piece count.
     """
-
-    @staticmethod
-    def _assert_split_bitwise(monkeypatch, batch, masked, dtype, dim=32):
-        monkeypatch.setattr(kernel, "_cores", lambda: 3)  # threads on any box
-        whole = kernel._row_pieces
-        for steps in (1, 3, 7):
-            lstm, x, mask, up = _random_case(batch + steps, batch, steps, dim, dim, 2, masked, dtype)
-            results = {}
-            for count in (1, 2, 3):
-                monkeypatch.setattr(
-                    kernel, "_row_pieces", lambda b, w, count=count: whole(b, w, count)
-                )
-                h, grads = _run_fused(lstm, x, mask, up)
-                results[count] = _bytes([h] + grads)
-            for count in (2, 3):
-                for ref, got in zip(results[1], results[count]):
-                    np.testing.assert_array_equal(ref, got)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("masked", [False, True, "full"])
-    @pytest.mark.parametrize("batch", [64, 100, 127, 128, 255, 256, 257, 511, 752, 1024])
+    @pytest.mark.parametrize("batch", [256, 257, 511, 752, 1024])
     def test_split_is_bitwise(self, monkeypatch, batch, masked, dtype):
-        self._assert_split_bitwise(monkeypatch, batch, masked, dtype)
+        """Forced counts 1-3 (as the floor allows) and the default pieces
+        each run as that many pieces and give the one-piece bytes."""
+        default = kernel._PIECE_ROWS
+        counts = range(1, min(3, batch // kernel._MIN_PIECE_ROWS) + 1)
+        sizes = [-(-batch // count) for count in counts] + [default]
+        for steps in (1, 3, 7):
+            lstm, x, mask, up = _random_case(batch + steps, batch, steps, 32, 32, 2, masked, dtype)
+            results = []
+            for size in sizes:
+                monkeypatch.setattr(kernel, "_PIECE_ROWS", size)
+                assert len(kernel._row_pieces(batch, 32)) == -(-batch // size)
+                h, grads = _run_fused(lstm, x, mask, up)
+                results.append(_bytes([h] + grads))
+            for got in results[1:]:
+                for ref, piece in zip(results[0], got):
+                    np.testing.assert_array_equal(ref, piece)
 
-    @pytest.mark.parametrize("batch", [256, 300])
-    def test_narrow_calls_stay_bitwise(self, monkeypatch, batch):
-        """Narrow layers run as one piece: at D = H = 8 these batches' row
-        blocks of ``dz @ W.T`` would round differently from the whole's."""
-        self._assert_split_bitwise(monkeypatch, batch, False, np.float64, dim=8)
-
-    def test_no_piece_under_the_floor(self):
+    def test_no_piece_under_the_floor(self, monkeypatch):
         floor = kernel._MIN_PIECE_ROWS
-        for batch in range(1, 2100, 7):
-            for count in (None, 1, 2, 3, 4, 8, 64):
-                pieces = kernel._row_pieces(batch, 32, count)
+        for size in (1, 50, floor, 240, 500, 10**6):
+            monkeypatch.setattr(kernel, "_PIECE_ROWS", size)
+            for batch in range(1, 2100, 7):
+                pieces = kernel._row_pieces(batch, 32)
                 assert pieces[0].start == 0 and pieces[-1].stop == batch
                 assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
+                assert max(p.stop - p.start for p in pieces) <= max(size, 2 * floor - 1)
                 if len(pieces) > 1:
                     assert min(p.stop - p.start for p in pieces) >= floor
 
-    def test_encode_sized_and_narrow_calls_do_not_split(self):
-        """Rows under two floors' worth, or fewer than ``_MIN_SPLIT_WIDTH``
-        input or hidden units, run as one piece on the caller."""
-        assert len(kernel._row_pieces(2 * kernel._MIN_PIECE_ROWS - 1, 32)) == 1
-        assert len(kernel._row_pieces(32, 32)) == 1
-        assert len(kernel._row_pieces(1024, 32)) > 1
-        narrow = kernel._MIN_SPLIT_WIDTH - 1
-        assert len(kernel._row_pieces(1024, narrow, count=3)) == 1
+    @pytest.mark.parametrize("batch", [1, 32, 127, 128, 255])
+    def test_encode_sized_calls_do_not_split(self, monkeypatch, batch):
+        """Rows under two floors' worth run as one piece, however small the
+        pieces are asked to be."""
+        monkeypatch.setattr(kernel, "_PIECE_ROWS", 1)
+        assert len(kernel._row_pieces(batch, 32)) == 1
 
-
-class TestWorkerPool:
-    def test_one_core_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(kernel, "_pool", None)
-        before = _pool_threads()
-        lstm, x, _, up = _random_case(11, 1024, 3, 16, 16, 2, False)
-        _run_fused(lstm, x, None, up)
-        assert kernel._pool is None
-        assert _pool_threads() == before
-
-    def test_forked_child_gets_a_fresh_pool(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_cores", lambda: 2)
-        lstm, x, _, up = _random_case(12, 512, 3, 16, 16, 2, False)
-        expected = _bytes(_run_fused(lstm, x, None, up)[1])
-        assert kernel._pool is not None  # the split call started the pool
-        pid = os.fork()
-        if pid == 0:  # child: the parent's workers do not exist here
-            code = 1
-            try:
-                fresh = kernel._pool is None
-                got = _bytes(_run_fused(lstm, x, None, up)[1])
-                same = all(np.array_equal(a, b) for a, b in zip(expected, got))
-                code = 0 if fresh and same else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, 9)
-                os.waitpid(pid, 0)
-                pytest.fail("fused call in a forked child hung")
-            time.sleep(0.02)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_worker_failure_reaches_the_caller(self, monkeypatch):
-        """Workers run under the caller's float error state, and every piece
-        has finished before the failure propagates."""
-        monkeypatch.setattr(kernel, "_cores", lambda: 2)
-        ran = []
-
-        def ok():
-            ran.append("caller")
-
-        def overflow():
-            np.exp(np.array([1000.0]))
-
-        with pytest.raises(FloatingPointError):
-            kernel._run_split([ok, overflow])
-        assert ran == ["caller"]
+    @pytest.mark.parametrize("width", [4, 8, 9])
+    def test_narrow_calls_do_not_split(self, monkeypatch, width):
+        """A row block of ``dz @ W.T`` with this many output columns rounds
+        differently from the whole batch's, so such calls run as one piece."""
+        monkeypatch.setattr(kernel, "_PIECE_ROWS", kernel._MIN_PIECE_ROWS)
+        assert len(kernel._row_pieces(1024, 32)) == 8
+        assert len(kernel._row_pieces(1024, width)) == 1
