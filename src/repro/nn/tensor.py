@@ -105,8 +105,12 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A copy, never a view: one backward hands the same ``grad``
+            # array to several parents (``__add__``), and each accumulates
+            # into its own in place later.
+            self.grad = np.array(np.broadcast_to(grad, self.data.shape), dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     # -- public helpers ------------------------------------------------------
     @property
