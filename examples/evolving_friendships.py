@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core import EHNA
 from repro.datasets import digg_like
-from repro.walks import TemporalWalker
+from repro.walks import BatchedWalkEngine
 
 
 def main() -> None:
@@ -24,12 +24,12 @@ def main() -> None:
     t_end = graph.time_span[1] + 1.0
 
     # --- historical neighborhoods at two points in time -----------------
-    walker = TemporalWalker(graph, p=0.5, q=2.0, decay=1.0)
+    engine = BatchedWalkEngine(graph, p=0.5, q=2.0, decay=1.0)
     rng = np.random.default_rng(0)
 
     def neighborhood(t_anchor: float) -> set[int]:
         nodes: set[int] = set()
-        for walk in walker.walks(hub, t_anchor, num_walks=10, length=8, rng=rng):
+        for walk in engine.temporal(np.full(10, hub), np.full(10, t_anchor), 8, rng):
             nodes.update(walk.nodes[1:])
         return nodes
 
@@ -44,11 +44,10 @@ def main() -> None:
 
     # --- decay controls how far back walks reach -------------------------
     for decay in (0.0, 5.0, 50.0):
-        w = TemporalWalker(graph, decay=decay)
-        ages = []
-        for _ in range(200):
-            walk = w.walk(hub, t_end, length=4, rng=rng)
-            ages.extend(t_end - t for t in walk.edge_times)
+        walks = BatchedWalkEngine(graph, decay=decay).temporal(
+            np.full(200, hub), np.full(200, t_end), 4, rng
+        )
+        ages = [t_end - t for walk in walks for t in walk.edge_times]
         print(f"decay={decay:5.1f}: mean age of traversed edges "
               f"{np.mean(ages):5.2f} years")
     print("  (stronger decay -> walks stay in the recent past, Eq. 1)\n")

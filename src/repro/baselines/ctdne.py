@@ -26,7 +26,8 @@ from repro.baselines.skipgram import (
 from repro.graph.temporal_graph import TemporalGraph
 from repro.nn.dtypes import get_precision
 from repro.utils.rng import ensure_rng
-from repro.walks.ctdne import CTDNEWalker
+from repro.utils.validation import check_positive
+from repro.walks.engine import BatchedWalkEngine
 
 
 class CTDNE(SGNSCheckpointMixin, EmbeddingMethod):
@@ -73,13 +74,22 @@ class CTDNE(SGNSCheckpointMixin, EmbeddingMethod):
             precision=self.precision,
         )
 
+    def _corpus(self, graph: TemporalGraph) -> list[list[int]]:
+        """Walks from uniformly drawn start edges (Section V.C), drawn up
+        front and advanced in one lockstep batch.
+
+        Matches the walk budget of the static baselines: one temporal walk
+        per node per round.
+        """
+        num_walks = self.walks_per_node * graph.num_nodes
+        check_positive("num_walks", num_walks)
+        edges = self._rng.integers(graph.num_edges, size=num_walks)
+        walks = BatchedWalkEngine(graph).ctdne(edges, self.walk_length, self._rng)
+        return [w.nodes for w in walks if len(w) > 1]
+
     def fit(self, graph: TemporalGraph, callbacks=()) -> "CTDNE":
         self.graph = graph
-        walker = CTDNEWalker(graph)
-        # Match the walk budget of the static baselines: one temporal walk
-        # per node per round, started from uniformly sampled edges.
-        num_walks = self.walks_per_node * graph.num_nodes
-        sentences = walker.corpus(num_walks, self.walk_length, self._rng)
+        sentences = self._corpus(graph)
         if not sentences:
             raise RuntimeError("CTDNE sampled no usable walks")
         self._model = self._new_model(graph)
@@ -101,9 +111,8 @@ class CTDNE(SGNSCheckpointMixin, EmbeddingMethod):
         self._model.grow(
             graph.num_nodes, noise_weights=degree_noise_weights(graph.degrees())
         )
-        walker = CTDNEWalker(graph)
         starts = np.repeat(fresh_edge_ids, self.walks_per_node)
-        walks = walker.engine.ctdne(starts, self.walk_length, self._rng)
+        walks = BatchedWalkEngine(graph).ctdne(starts, self.walk_length, self._rng)
         sentences = [w.nodes for w in walks if len(w) > 1]
         if not sentences:
             return

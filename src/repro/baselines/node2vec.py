@@ -22,8 +22,8 @@ from repro.baselines.skipgram import (
 from repro.graph.temporal_graph import TemporalGraph
 from repro.nn.dtypes import get_precision
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_positive
 from repro.walks.engine import BatchedWalkEngine
-from repro.walks.static import Node2VecWalker, UniformWalker
 
 
 class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
@@ -68,8 +68,18 @@ class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
         self._model: SkipGramNS | None = None
 
     def _corpus(self, graph: TemporalGraph) -> list[list[int]]:
-        walker = Node2VecWalker(graph, p=self.p, q=self.q)
-        return walker.corpus(self.num_walks, self.walk_length, self._rng)
+        """``num_walks`` rounds of one walk per node in shuffled order (the
+        usual corpus); each round advances in one lockstep batch."""
+        check_positive("num_walks", self.num_walks)
+        engine = BatchedWalkEngine(graph, p=self.p, q=self.q)
+        sentences: list[list[int]] = []
+        order = np.arange(graph.num_nodes, dtype=np.int64)
+        for _ in range(self.num_walks):
+            self._rng.shuffle(order)
+            for w in engine.node2vec(order, self.walk_length, self._rng):
+                if len(w) > 1:
+                    sentences.append(w.nodes)
+        return sentences
 
     def _new_model(self, graph: TemporalGraph) -> SkipGramNS:
         return SkipGramNS(
@@ -156,13 +166,13 @@ class DeepWalk(Node2Vec):
         super().__init__(p=1.0, q=1.0, **kwargs)
 
     def _corpus(self, graph: TemporalGraph) -> list[list[int]]:
-        walker = UniformWalker(graph)
+        engine = BatchedWalkEngine(graph)
         sentences: list[list[int]] = []
         order = np.arange(graph.num_nodes)
         for _ in range(self.num_walks):
             self._rng.shuffle(order)
             for v in order:
-                walk = walker.walk(int(v), self.walk_length, self._rng)
+                walk = engine.uniform(np.array([v]), self.walk_length, self._rng)[0]
                 if len(walk) > 1:
                     sentences.append(walk.nodes)
         return sentences

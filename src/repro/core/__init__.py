@@ -1,6 +1,6 @@
 """EHNA core: attention, aggregation, loss, negative sampling, model."""
 
-from repro.core.aggregation import TwoLevelAggregator, WalkBatch, batch_walks
+from repro.core.aggregation import TwoLevelAggregator, WalkBatch
 from repro.core.attention import (
     masked_softmax,
     node_attention,
@@ -34,7 +34,6 @@ __all__ = [
     "EHNAConfig",
     "TwoLevelAggregator",
     "WalkBatch",
-    "batch_walks",
     "node_attention",
     "walk_attention",
     "walk_factors",

@@ -17,10 +17,9 @@ state through unchanged.  With ``two_level=False`` (the EHNA-SL ablation) the
 caller merges each target's walks into one long sequence and step 3 is
 skipped — ``h`` itself becomes the neighborhood summary.
 
-:func:`batch_walks` pads ``Walk`` lists; it is the test oracle for the
-:class:`~repro.walks.base.WalkBatch` arrays the walk engine emits directly
-(``temporal_walk_batch``), which are bitwise-equal for the same walks.  The
-aggregator's LSTMs run the fused single-node BPTT kernel; the stepwise
+Walks arrive as the padded :class:`~repro.walks.base.WalkBatch` arrays the
+walk engine emits directly (``temporal_walk_batch``).  The aggregator's
+LSTMs run the fused single-node BPTT kernel; the stepwise
 ``StackedLSTM.__call__`` graph is its gradcheck-verified oracle.
 """
 
@@ -32,80 +31,9 @@ from repro.core.attention import node_attention, walk_attention, walk_factors
 from repro.nn.layers import BatchNorm1d, Linear, Module, StackedLSTM
 from repro.nn.tensor import Tensor, concat
 from repro.utils.rng import ensure_rng
-from repro.walks.base import Walk, WalkBatch
+from repro.walks.base import WalkBatch
 
-__all__ = ["WalkBatch", "batch_walks", "TwoLevelAggregator"]
-
-
-def _walk_rows(walk: Walk, scale, chronological: bool) -> tuple[list[int], np.ndarray]:
-    """Node ids and normalized time-sums of one walk, optionally reversed.
-
-    Temporal walks visit the most recent interaction first; with
-    ``chronological=True`` the sequence is reversed so the LSTM consumes
-    events oldest-first and its final state emphasizes the recent past.
-    """
-    nodes = list(walk.nodes)
-    sums = walk.node_time_sums(scale)
-    if chronological:
-        nodes = nodes[::-1]
-        sums = sums[::-1]
-    return nodes, sums
-
-
-def batch_walks(
-    walk_sets: list[list[Walk]],
-    scale,
-    chronological: bool = True,
-    merge: bool = False,
-    real_dtype=np.float64,
-) -> WalkBatch:
-    """Pad a batch of per-target walk lists into :class:`WalkBatch` arrays.
-
-    ``walk_sets[b]`` holds the walks of target ``b``; every target must have
-    the same number of walks.  With ``merge=True`` each target's walks are
-    concatenated into a single sequence (per-walk time-sums are computed
-    *before* merging, so edges never leak across walk boundaries) — the
-    single-level layout used by EHNA-SL.
-
-    ``real_dtype`` is the precision policy's floating dtype for the emitted
-    ``valid``/``time_sums`` arrays; time-sum accumulation itself always runs
-    in ``float64`` (matching the engine fast path) and only the final arrays
-    narrow.  This oracle keeps ``int64`` ids — it exists for correctness
-    comparisons, not memory.
-    """
-    if not walk_sets:
-        raise ValueError("walk_sets must not be empty")
-    k = len(walk_sets[0])
-    if k == 0 or any(len(ws) != k for ws in walk_sets):
-        raise ValueError("every target needs the same positive number of walks")
-
-    rows: list[tuple[list[int], np.ndarray]] = []
-    if merge:
-        for ws in walk_sets:
-            nodes: list[int] = []
-            sums: list[np.ndarray] = []
-            for w in ws:
-                n, s = _walk_rows(w, scale, chronological)
-                nodes.extend(n)
-                sums.append(s)
-            rows.append((nodes, np.concatenate(sums)))
-        k = 1
-    else:
-        for ws in walk_sets:
-            for w in ws:
-                rows.append(_walk_rows(w, scale, chronological))
-
-    n_rows = len(rows)
-    max_len = max(len(nodes) for nodes, _ in rows)
-    ids = np.zeros((n_rows, max_len), dtype=np.int64)
-    valid = np.zeros((n_rows, max_len), dtype=real_dtype)
-    sums_arr = np.zeros((n_rows, max_len), dtype=real_dtype)
-    for i, (nodes, sums) in enumerate(rows):
-        ln = len(nodes)
-        ids[i, :ln] = nodes
-        valid[i, :ln] = 1.0
-        sums_arr[i, :ln] = sums
-    return WalkBatch(ids=ids, valid=valid, time_sums=sums_arr, k=k)
+__all__ = ["WalkBatch", "TwoLevelAggregator"]
 
 
 class TwoLevelAggregator(Module):

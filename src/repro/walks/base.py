@@ -3,17 +3,15 @@
 Two result containers live here:
 
 - :class:`Walk` — one walk as plain Python ``int`` node ids and ``float``
-  edge times.  Both the per-node ``walk_sequential`` reference loops and the
-  vectorized :class:`~repro.walks.engine.BatchedWalkEngine` materialize
-  these, so downstream consumers (aggregation batching, skip-gram corpora)
-  are agnostic to which path produced a walk and results can be compared
-  with ``==`` across paths.
+  edge times.  The vectorized :class:`~repro.walks.engine.BatchedWalkEngine`
+  materializes these for skip-gram corpora, and the per-node reference
+  loops the tests check it against build the same records, so results can
+  be compared with ``==`` across paths.
 - :class:`WalkBatch` — a whole batch of walks as padded ``(W, T)`` arrays,
-  ready for the aggregator.  Produced either by
-  :func:`~repro.core.aggregation.batch_walks` (the test oracle, from
-  ``Walk`` lists) or directly by the engine's array-native fast path
-  (``temporal_walk_batch`` / ``uniform_walk_batch``), which never
-  materializes per-walk Python objects.
+  ready for the aggregator.  Produced by the engine's array-native fast
+  path (``temporal_walk_batch`` / ``uniform_walk_batch``), which never
+  materializes per-walk Python objects; the tests build the same arrays
+  from ``Walk`` lists with a padding loop (``batch_walks``).
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ class Walk:
         ``scale`` maps raw times onto ``[0, 1]`` before summing (pass
         ``graph.scale_time``); ``None`` sums raw timestamps.  Static walks
         (no edge times) return all zeros.  The output is independent of
-        whether the walk came from a sequential walker or a batched engine —
+        whether the walk came from a per-node loop or the batched engine —
         only ``nodes``/``edge_times`` matter.
         """
         sums = np.zeros(len(self.nodes), dtype=np.float64)
@@ -81,10 +79,10 @@ class WalkBatch:
     ``ids``/``valid``/``time_sums`` all have shape ``(W, T)`` where ``W`` is
     the total number of walks in the batch and ``T`` the longest walk; ``k``
     walks per target, so ``W = B * k``.  Padding slots hold id 0, validity 0
-    and time-sum 0 regardless of which producer built the batch, so the two
-    construction paths (``batch_walks`` over ``Walk`` lists, or the engine's
-    array-native ``*_walk_batch`` fast path) yield bitwise-equal arrays for
-    the same walks.
+    and time-sum 0 regardless of which producer built the batch, so the
+    engine's array-native ``*_walk_batch`` fast path and the tests'
+    ``batch_walks`` oracle over ``Walk`` lists yield bitwise-equal arrays
+    for the same walks.
 
     Dtypes follow the precision policy of the producer: the default layout
     is ``int64`` ids with ``float64`` valid/time-sums, while the fast

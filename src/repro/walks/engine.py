@@ -1,13 +1,9 @@
-"""Vectorized batched walk engine.
+"""Vectorized batched walk engine: the one sampler of every walk family.
 
-The per-node walkers in this package (:class:`~repro.walks.temporal.TemporalWalker`,
-:class:`~repro.walks.static.UniformWalker`, :class:`~repro.walks.static.Node2VecWalker`,
-:class:`~repro.walks.ctdne.CTDNEWalker`) advance one walk at a time, paying
-Python-interpreter overhead for every hop.  :class:`BatchedWalkEngine` instead
-advances *all* walks of a batch in lockstep: each step is a handful of NumPy
-operations over flat CSR arrays from
-:meth:`~repro.graph.temporal_graph.TemporalGraph.incidence_csr`, regardless of
-the batch size —
+:class:`BatchedWalkEngine` advances *all* walks of a batch in lockstep: each
+step is a handful of NumPy operations over flat CSR arrays from
+:meth:`~repro.graph.temporal_graph.TemporalGraph.incidence_csr`, regardless
+of the batch size —
 
 - the historical cut (``time <= t_last``) is a vectorized per-segment binary
   search, ``O(log deg)`` lockstep iterations for the whole batch;
@@ -18,17 +14,18 @@ the batch size —
   consuming the shared RNG stream in walk order.
 
 **Batch-size-1 contract.** With a batch of one walk, the engine consumes the
-RNG stream draw-for-draw like the per-node reference implementations
-(``walk_sequential`` on each walker), so the produced walks are *bitwise
-identical* under the same seed.  ``tests/walks/test_engine.py`` pins this
-property for all four walk families.
+RNG stream draw-for-draw like a per-node loop that walks one hop at a time,
+so the produced walks are *bitwise identical* under the same seed.  Those
+loops live with the tests (``tests/oracles/walks.py``), and
+``tests/walks/test_engine.py`` pins the property for all four walk families.
 
 **Array-native batching.** ``temporal_walk_batch`` / ``uniform_walk_batch``
 skip ``Walk`` materialization entirely: the same lockstep loops (same RNG
 draws) pad their raw buffers straight into aggregator-ready
-:class:`~repro.walks.base.WalkBatch` arrays, bitwise-equal to running the
-``Walk`` path through ``batch_walks``.  EHNA's aggregation pipeline takes
-only this route (see docs/architecture.md).
+:class:`~repro.walks.base.WalkBatch` arrays, bitwise-equal to padding the
+``Walk`` objects with a Python loop (the ``batch_walks`` test oracle).
+EHNA's aggregation pipeline takes only this route (see
+docs/architecture.md).
 """
 
 from __future__ import annotations
@@ -317,8 +314,7 @@ class BatchedWalkEngine:
     ) -> list[Walk]:
         """Advance one historical walk per ``(starts[i], anchors[i])`` pair.
 
-        The lockstep equivalent of ``TemporalWalker.walk_sequential`` —
-        strictly-historical first hop (unless ``include_context``),
+        Strictly-historical first hop (unless ``include_context``),
         non-increasing edge times, Eq. 1 decay kernel and Eq. 2 bias.  Walks
         terminate individually when they run out of relevant history; the
         survivors keep stepping.
@@ -485,11 +481,11 @@ class BatchedWalkEngine:
     ) -> WalkBatch:
         """Pad raw lockstep buffers into a :class:`WalkBatch`, vectorized.
 
-        Bitwise-equivalent to emitting ``Walk`` objects and running them
-        through ``batch_walks``: same [0, 1] time scaling, same per-position
-        time-sum addition order (edge ``i-1`` accumulated before edge ``i``),
-        same in-place reversal for ``chronological`` batches, same zero
-        padding.
+        Bitwise-equivalent to emitting ``Walk`` objects and padding them one
+        by one (the ``batch_walks`` test oracle): same [0, 1] time scaling,
+        same per-position time-sum addition order (edge ``i-1`` accumulated
+        before edge ``i``), same in-place reversal for ``chronological``
+        batches, same zero padding.
         """
         n_rows = nodes_buf.shape[0]
         max_len = int(lengths.max(initial=0))
@@ -532,8 +528,7 @@ class BatchedWalkEngine:
     ) -> WalkBatch:
         """``num_walks`` temporal walks per ``(node, anchor)`` pair as arrays.
 
-        The array-native fast path of :meth:`temporal_walk_sets` +
-        ``batch_walks``: the same lockstep loop fills the same raw buffers
+        The same lockstep loop as :meth:`temporal` fills the same raw buffers
         with the same RNG draws, but the result is padded straight into a
         :class:`WalkBatch` — no per-walk ``Walk`` objects, no Python
         re-padding loop.
@@ -557,7 +552,7 @@ class BatchedWalkEngine:
     ) -> WalkBatch:
         """``num_walks`` uniform walks per node as a :class:`WalkBatch`.
 
-        Array-native fast path of :meth:`uniform_walk_sets` (see
+        The array-native form of :meth:`uniform` (see
         :meth:`temporal_walk_batch`); static walks carry no edge times, so
         ``time_sums`` is all zeros.
         """
@@ -653,8 +648,8 @@ class BatchedWalkEngine:
         """Time-respecting forward walks from the given start edges.
 
         Each walk orients its start edge with one coin flip, then repeatedly
-        picks uniformly among the strictly-newer incident events — the
-        lockstep version of ``CTDNEWalker.walk_sequential``.
+        picks uniformly among the strictly-newer incident events (Nguyen et
+        al.'s CTDNE with uniform edge and node selection, Section V.C).
         """
         check_positive("length", length)
         rng = ensure_rng(rng)
@@ -703,34 +698,3 @@ class BatchedWalkEngine:
             times_buf[active, lengths[active] - 1] = etime
             lengths[active] += 1
         return self._emit(nodes_buf, times_buf, lengths, with_times=True)
-
-    # ------------------------------------------------------------------
-    # walk-set APIs (the test oracle of the WalkBatch APIs above)
-    # ------------------------------------------------------------------
-    def temporal_walk_sets(
-        self,
-        nodes,
-        anchors,
-        num_walks: int,
-        length: int,
-        rng=None,
-        include_context: bool = False,
-    ) -> list[list[Walk]]:
-        """``num_walks`` temporal walks per ``(node, anchor)`` pair, advanced
-        together in one lockstep batch of ``len(nodes) * num_walks`` walks."""
-        check_positive("num_walks", num_walks)
-        rng = ensure_rng(rng)
-        starts = np.repeat(np.asarray(nodes, dtype=_I64), num_walks)
-        anchors = np.repeat(np.asarray(anchors, dtype=np.float64), num_walks)
-        walks = self.temporal(starts, anchors, length, rng, include_context)
-        return [walks[i : i + num_walks] for i in range(0, len(walks), num_walks)]
-
-    def uniform_walk_sets(
-        self, nodes, num_walks: int, length: int, rng=None
-    ) -> list[list[Walk]]:
-        """``num_walks`` uniform walks per node, advanced in one lockstep batch."""
-        check_positive("num_walks", num_walks)
-        rng = ensure_rng(rng)
-        starts = np.repeat(np.asarray(nodes, dtype=_I64), num_walks)
-        walks = self.uniform(starts, length, rng)
-        return [walks[i : i + num_walks] for i in range(0, len(walks), num_walks)]

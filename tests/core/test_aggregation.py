@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.aggregation import TwoLevelAggregator, batch_walks
+from oracles.walks import batch_walks
+from repro.core.aggregation import TwoLevelAggregator
 from repro.nn import Embedding, check_gradients
 from repro.walks import Walk
 

@@ -1,9 +1,9 @@
 """Tests for the vectorized batched walk engine.
 
 The central contract: with a batch of one walk, the engine consumes the RNG
-stream draw-for-draw like the per-node ``*_sequential`` reference loops, so
-outputs are bitwise identical under a fixed seed — for all four walk
-families.  Plus: batched walks obey the same structural invariants as
+stream draw-for-draw like the per-node ``*_walk_sequential`` reference loops
+of ``tests/oracles/walks.py``, so outputs are bitwise identical under a
+fixed seed — for all four walk families.  Plus: batched walks obey the same structural invariants as
 sequential ones.
 """
 
@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.walks import (
+    ctdne_walk_sequential,
+    node2vec_walk_sequential,
+    temporal_walk_sequential,
+    uniform_walk_sequential,
+)
 from repro.datasets import load, temporal_sbm
 from repro.graph import TemporalGraph
-from repro.walks import (
-    BatchedWalkEngine,
-    CTDNEWalker,
-    Node2VecWalker,
-    TemporalWalker,
-    UniformWalker,
-)
+from repro.walks import BatchedWalkEngine
 
 
 @pytest.fixture(scope="module")
@@ -32,73 +32,87 @@ def _rng_pair(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
+def _one(starts):
+    return np.array([starts])
+
+
 def _assert_same_walk(a, b):
     assert a.nodes == b.nodes
     assert a.edge_times == b.edge_times
 
 
 # ----------------------------------------------------------------------
-# batch-size-1 bitwise identity vs. the seed per-node walkers
+# batch-size-1 bitwise identity vs. the per-node reference loops
 # ----------------------------------------------------------------------
 class TestBatchOneBitwiseIdentity:
     def test_temporal(self, graph):
         anchor = graph.time_span[1] + 1.0
-        walker = TemporalWalker(graph, p=0.5, q=2.0, decay=1.0)
+        engine = BatchedWalkEngine(graph, p=0.5, q=2.0, decay=1.0)
         for start in range(graph.num_nodes):
             r1, r2 = _rng_pair(start)
             _assert_same_walk(
-                walker.walk_sequential(start, anchor, 8, r1),
-                walker.walk(start, anchor, 8, r2),
+                temporal_walk_sequential(
+                    graph, start, anchor, 8, r1, p=0.5, q=2.0, decay=1.0
+                ),
+                engine.temporal(_one(start), _one(anchor), 8, r2)[0],
             )
             # the streams must also end in the same state
             assert r1.random() == r2.random()
 
     def test_temporal_mid_history_anchor(self, graph):
         anchor = float(np.median(graph.time))
-        walker = TemporalWalker(graph, p=2.0, q=0.5, decay=0.3)
+        engine = BatchedWalkEngine(graph, p=2.0, q=0.5, decay=0.3)
         for start in range(graph.num_nodes):
             r1, r2 = _rng_pair((start, 1))
             _assert_same_walk(
-                walker.walk_sequential(start, anchor, 6, r1),
-                walker.walk(start, anchor, 6, r2),
+                temporal_walk_sequential(
+                    graph, start, anchor, 6, r1, p=2.0, q=0.5, decay=0.3
+                ),
+                engine.temporal(_one(start), _one(anchor), 6, r2)[0],
             )
             assert r1.random() == r2.random()
 
     def test_temporal_include_context(self, graph):
         anchor = float(np.median(graph.time))
-        walker = TemporalWalker(graph)
+        engine = BatchedWalkEngine(graph)
         for start in range(0, graph.num_nodes, 3):
             r1, r2 = _rng_pair(start)
             _assert_same_walk(
-                walker.walk_sequential(start, anchor, 5, r1, include_context=True),
-                walker.walk(start, anchor, 5, r2, include_context=True),
+                temporal_walk_sequential(
+                    graph, start, anchor, 5, r1, include_context=True
+                ),
+                engine.temporal(
+                    _one(start), _one(anchor), 5, r2, include_context=True
+                )[0],
             )
 
     def test_uniform(self, graph):
-        walker = UniformWalker(graph)
+        engine = BatchedWalkEngine(graph)
         for start in range(graph.num_nodes):
             r1, r2 = _rng_pair(start)
             _assert_same_walk(
-                walker.walk_sequential(start, 7, r1), walker.walk(start, 7, r2)
+                uniform_walk_sequential(graph, start, 7, r1),
+                engine.uniform(_one(start), 7, r2)[0],
             )
             assert r1.random() == r2.random()
 
     def test_node2vec(self, graph):
-        walker = Node2VecWalker(graph, p=0.5, q=2.0)
+        engine = BatchedWalkEngine(graph, p=0.5, q=2.0)
         for start in range(graph.num_nodes):
             r1, r2 = _rng_pair(start)
             _assert_same_walk(
-                walker.walk_sequential(start, 9, r1), walker.walk(start, 9, r2)
+                node2vec_walk_sequential(engine, start, 9, r1),
+                engine.node2vec(_one(start), 9, r2)[0],
             )
             assert r1.random() == r2.random()
 
     def test_ctdne(self, graph):
-        walker = CTDNEWalker(graph)
+        engine = BatchedWalkEngine(graph)
         for edge in range(graph.num_edges):
             r1, r2 = _rng_pair(edge)
             _assert_same_walk(
-                walker.walk_from_edge_sequential(edge, 8, r1),
-                walker.walk_from_edge(edge, 8, r2),
+                ctdne_walk_sequential(graph, edge, 8, r1),
+                engine.ctdne(_one(edge), 8, r2)[0],
             )
             assert r1.random() == r2.random()
 
@@ -107,12 +121,14 @@ class TestBatchOneBitwiseIdentity:
     def test_temporal_property(self, seed):
         graph = temporal_sbm(num_nodes=25, num_edges=120, seed=7)
         anchor = float(np.median(graph.time))
-        walker = TemporalWalker(graph, p=0.7, q=1.4, decay=2.0)
+        engine = BatchedWalkEngine(graph, p=0.7, q=1.4, decay=2.0)
         start = seed % graph.num_nodes
         r1, r2 = _rng_pair(seed)
         _assert_same_walk(
-            walker.walk_sequential(start, anchor, 6, r1),
-            walker.walk(start, anchor, 6, r2),
+            temporal_walk_sequential(
+                graph, start, anchor, 6, r1, p=0.7, q=1.4, decay=2.0
+            ),
+            engine.temporal(_one(start), _one(anchor), 6, r2)[0],
         )
         assert r1.random() == r2.random()
 
@@ -193,12 +209,6 @@ class TestBatchedInvariants:
         )
         assert len(walks[0].nodes) > 1
         assert len(walks[1].nodes) > 1  # the tiny-weight walk keeps walking
-
-    def test_mismatched_injected_engine_rejected(self, graph):
-        with pytest.raises(ValueError, match="differ"):
-            TemporalWalker(graph, p=0.5, engine=BatchedWalkEngine(graph))
-        with pytest.raises(ValueError, match="differ"):
-            Node2VecWalker(graph, q=3.0, engine=BatchedWalkEngine(graph))
 
     def test_isolated_nodes_terminate_immediately(self):
         g = TemporalGraph.from_edges(

@@ -2,7 +2,7 @@
 
 ``BatchedWalkEngine.temporal_walk_batch`` / ``uniform_walk_batch`` must
 produce *bitwise* the same padded arrays as sampling ``Walk`` sets and
-padding them through ``batch_walks`` — same RNG draws, same [0, 1] time
+padding them through the ``batch_walks`` oracle — same RNG draws, same [0, 1] time
 scaling, same time-sum accumulation order, same reversal and zero padding —
 for every layout (chronological or not, with or without context, two-level
 or merged).
@@ -11,7 +11,7 @@ or merged).
 import numpy as np
 import pytest
 
-from repro.core.aggregation import batch_walks
+from oracles.walks import batch_walks, temporal_walk_sets, uniform_walk_sets
 from repro.datasets import temporal_sbm
 from repro.walks.base import Walk, WalkBatch
 from repro.walks.engine import BatchedWalkEngine
@@ -43,8 +43,8 @@ class TestTemporalWalkBatch:
         nodes = np.arange(30)
         anchors = np.full(nodes.size, graph.time_span[1] + 1.0)
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        sets = engine.temporal_walk_sets(
-            nodes, anchors, K, LENGTH, r1,
+        sets = temporal_walk_sets(
+            engine, nodes, anchors, K, LENGTH, r1,
             include_context=include_context,
         )
         ref = batch_walks(sets, graph.scale_time, chronological=chronological)
@@ -63,7 +63,7 @@ class TestTemporalWalkBatch:
         nodes = np.arange(20)
         anchors = np.linspace(lo - 1.0, hi + 1.0, nodes.size)
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1)
+        sets = temporal_walk_sets(engine, nodes, anchors, K, LENGTH, r1)
         ref = batch_walks(sets, graph.scale_time)
         fast = engine.temporal_walk_batch(nodes, anchors, K, LENGTH, r2)
         _assert_batches_equal(ref, fast)
@@ -73,7 +73,7 @@ class TestTemporalWalkBatch:
         nodes = np.arange(15)
         anchors = np.full(nodes.size, graph.time_span[1] + 1.0)
         r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1)
+        sets = temporal_walk_sets(engine, nodes, anchors, K, LENGTH, r1)
         ref = batch_walks(sets, graph.scale_time, merge=True)
         fast = engine.temporal_walk_batch(nodes, anchors, K, LENGTH, r2).merged()
         _assert_batches_equal(ref, fast)
@@ -84,7 +84,7 @@ class TestTemporalWalkBatch:
         anchors = np.full(nodes.size, graph.time_span[1] + 1.0)
         keep = np.array([0, 3, 17, 29])
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        sets = engine.temporal_walk_sets(nodes, anchors, K, LENGTH, r1)
+        sets = temporal_walk_sets(engine, nodes, anchors, K, LENGTH, r1)
         ref = batch_walks([sets[i] for i in keep], graph.scale_time)
         fast = engine.temporal_walk_batch(nodes, anchors, K, LENGTH, r2)
         _assert_batches_equal(ref, fast.take_targets(keep))
@@ -95,7 +95,7 @@ class TestUniformWalkBatch:
     def test_bitwise_equals_reference(self, graph, engine, length):
         nodes = np.arange(25)
         r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
-        sets = engine.uniform_walk_sets(nodes, K, length, r1)
+        sets = uniform_walk_sets(engine, nodes, K, length, r1)
         ref = batch_walks(sets, graph.scale_time)
         fast = engine.uniform_walk_batch(nodes, K, length, r2)
         _assert_batches_equal(ref, fast)

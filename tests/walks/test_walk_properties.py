@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import TemporalGraph
-from repro.walks import CTDNEWalker, TemporalWalker, UniformWalker
+from repro.walks import BatchedWalkEngine
 
 
 @st.composite
@@ -31,9 +31,9 @@ def random_graphs(draw):
 def test_temporal_walk_never_uses_future_edges(graph, seed):
     rng = np.random.default_rng(seed)
     t_anchor = float(np.median(graph.time))
-    walker = TemporalWalker(graph, p=0.5, q=2.0)
+    engine = BatchedWalkEngine(graph, p=0.5, q=2.0)
     for start in range(graph.num_nodes):
-        w = walker.walk(start, t_anchor, 5, rng)
+        w = engine.temporal(np.array([start]), np.array([t_anchor]), 5, rng)[0]
         assert all(t < t_anchor for t in w.edge_times)
         assert all(
             w.edge_times[i] >= w.edge_times[i + 1]
@@ -45,10 +45,10 @@ def test_temporal_walk_never_uses_future_edges(graph, seed):
 @settings(max_examples=60, deadline=None)
 def test_temporal_walk_edges_exist(graph, seed):
     rng = np.random.default_rng(seed)
-    walker = TemporalWalker(graph)
+    engine = BatchedWalkEngine(graph)
     t_anchor = float(graph.time[-1]) + 1.0
     for start in range(graph.num_nodes):
-        w = walker.walk(start, t_anchor, 4, rng)
+        w = engine.temporal(np.array([start]), np.array([t_anchor]), 4, rng)[0]
         for a, b in zip(w.nodes, w.nodes[1:]):
             assert graph.has_edge(a, b)
 
@@ -57,10 +57,10 @@ def test_temporal_walk_edges_exist(graph, seed):
 @settings(max_examples=60, deadline=None)
 def test_ctdne_walks_time_respecting(graph, seed):
     rng = np.random.default_rng(seed)
-    walker = CTDNEWalker(graph)
+    engine = BatchedWalkEngine(graph)
     for _ in range(5):
         e = int(rng.integers(graph.num_edges))
-        w = walker.walk_from_edge(e, 5, rng)
+        w = engine.ctdne(np.array([e]), 5, rng)[0]
         assert all(
             w.edge_times[i] <= w.edge_times[i + 1]
             for i in range(len(w.edge_times) - 1)
@@ -73,9 +73,9 @@ def test_ctdne_walks_time_respecting(graph, seed):
 @settings(max_examples=60, deadline=None)
 def test_uniform_walks_valid(graph, seed):
     rng = np.random.default_rng(seed)
-    walker = UniformWalker(graph)
+    engine = BatchedWalkEngine(graph)
     for start in range(graph.num_nodes):
-        w = walker.walk(start, 4, rng)
+        w = engine.uniform(np.array([start]), 4, rng)[0]
         assert w.nodes[0] == start
         for a, b in zip(w.nodes, w.nodes[1:]):
             assert graph.has_edge(a, b)
