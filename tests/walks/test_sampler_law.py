@@ -1,17 +1,19 @@
-"""The temporal sampler draws exactly Eq. 1 × Eq. 2.
+"""The walk samplers draw exactly the laws they implement.
 
-The engine samples each hop from a log prefix-sum index and applies Eq. 2's
-bias by rejection.  These tests check the *law* it produces against a
-brute-force evaluation of the paper's definition on small random graphs:
-the joint distribution of a walk's first two hops, ``(node, time)`` pairs
-or an early stop, is compared with a chi-square test.  Each case draws a
-fixed sample from a seeded stream, so the verdict is deterministic.
+The engine samples each temporal hop from a log prefix-sum index and
+applies Eq. 2's bias by rejection.  These tests check the *law* it produces
+against a brute-force evaluation of the paper's definition on small random
+graphs: the joint distribution of a walk's first two hops, ``(node, time)``
+pairs or an early stop, is compared with a chi-square test.  The uniform
+walks (DeepWalk, EHNA-RW) and CTDNE's forward walks are checked the same way
+against their own laws.  Each case draws a fixed sample from a seeded
+stream, so the verdict is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -161,3 +163,76 @@ def test_large_decay_does_not_underflow_the_walk():
     counts = Counter(w.edge_times[0] for w in walks)
     observed = [counts[float(t)] for t in time[:3]]
     assert chisquare(observed, weights / weights.sum() * n).pvalue > 1e-3
+
+
+def uniform_law(graph, start: int, hops: int) -> dict:
+    """The exact law of a uniform walk's first ``hops`` nodes: every hop is
+    uniform over the current node's *distinct* neighbors, whatever the
+    number of events behind each."""
+    law: dict = defaultdict(float)
+
+    def extend(prefix, node, prob, left):
+        nbrs = graph.neighbors(node)
+        if left == 0 or nbrs.size == 0:
+            law[prefix + (STOP if left else ())] += prob
+            return
+        for nb in nbrs:
+            extend(prefix + (int(nb),), int(nb), prob / nbrs.size, left - 1)
+
+    extend((), start, 1.0, hops)
+    return dict(law)
+
+
+@pytest.mark.parametrize("graph_seed", [0, 1])
+def test_uniform_law_is_uniform_over_distinct_neighbors(graph_seed):
+    graph = random_graph(graph_seed)
+    start = int(np.argmax(graph.degrees()))
+    law = uniform_law(graph, start, 2)
+    assert sum(law.values()) == pytest.approx(1.0)
+    walks = BatchedWalkEngine(graph).uniform(
+        np.full(WALKS, start), 2, np.random.default_rng(graph_seed)
+    )
+    counts = Counter(
+        tuple(w.nodes[1:]) + (STOP if len(w.nodes) < 3 else ()) for w in walks
+    )
+    assert chi_square_pvalue(counts, law) > 1e-3
+
+
+def ctdne_law(graph, edge: int, hops: int) -> dict:
+    """The exact law of a CTDNE walk from ``edge`` (Nguyen et al., 2018):
+    a fair coin orients the start edge, then each of ``hops`` further hops
+    is uniform over the current node's events *strictly* later than the
+    last traversed one."""
+    law: dict = defaultdict(float)
+
+    def extend(prefix, node, t_last, prob, left):
+        nbrs, times, _ = graph.incident(node)
+        later = times > t_last
+        if left == 0 or not later.any():
+            law[prefix + (STOP if left else ())] += prob
+            return
+        share = prob / later.sum()
+        for nb, t in zip(nbrs[later], times[later]):
+            extend(prefix + (int(nb), float(t)), int(nb), float(t), share, left - 1)
+
+    u, v, t = int(graph.src[edge]), int(graph.dst[edge]), float(graph.time[edge])
+    extend((u, v), v, t, 0.5, hops)
+    extend((v, u), u, t, 0.5, hops)
+    return dict(law)
+
+
+@pytest.mark.parametrize("graph_seed", [0, 1])
+@pytest.mark.parametrize("position", [0.3, 0.6])
+def test_ctdne_law_is_uniform_over_strictly_later_events(graph_seed, position):
+    graph = random_graph(graph_seed)
+    edge = int(position * graph.num_edges)  # edges are time-sorted; ties abound
+    law = ctdne_law(graph, edge, 2)
+    assert sum(law.values()) == pytest.approx(1.0)
+    walks = BatchedWalkEngine(graph).ctdne(
+        np.full(WALKS, edge), 3, np.random.default_rng(graph_seed)
+    )
+    counts: Counter = Counter()
+    for w in walks:
+        later = itertools.chain.from_iterable(zip(w.nodes[2:], w.edge_times[1:]))
+        counts[tuple(w.nodes[:2]) + tuple(later) + (STOP if len(w.nodes) < 4 else ())] += 1
+    assert chi_square_pvalue(counts, law) > 1e-3
