@@ -1,79 +1,17 @@
 """Micro-benchmarks of the substrates (classic pytest-benchmark timing).
 
-These are not paper experiments; they quantify the building blocks so
-regressions in the walk engines, the autograd stack or the samplers are
-visible: temporal-walk sampling throughput, one EHNA forward+backward batch,
-alias sampling, SGNS steps and the historical-neighborhood query.
+These are not paper experiments; they quantify building blocks that no
+end-to-end workload of ``benchmarks/e2e`` times on its own: alias sampling,
+SGNS steps and the historical-neighborhood query.  Walk sampling, the
+aggregator's forward and backward pass and whole EHNA epochs are timed by
+the ``walks-hub-1m`` and ``fit-dblp`` workloads there.
 """
 
 import numpy as np
 
 from repro.baselines import SkipGramNS
-from repro.core import EHNA, batch_walks
-from repro.core.aggregation import TwoLevelAggregator
 from repro.datasets import load
-from repro.nn import Embedding
 from repro.utils import AliasTable
-from repro.walks import CTDNEWalker, Node2VecWalker, TemporalWalker
-
-
-def test_temporal_walk_sampling(benchmark):
-    graph = load("dblp", scale=0.3, seed=0)
-    walker = TemporalWalker(graph, p=0.5, q=2.0)
-    rng = np.random.default_rng(0)
-    t_anchor = graph.time_span[1] + 1.0
-
-    def run():
-        for start in range(0, graph.num_nodes, 7):
-            walker.walk(start, t_anchor, 10, rng)
-
-    benchmark(run)
-
-
-def test_node2vec_walk_sampling(benchmark):
-    graph = load("dblp", scale=0.3, seed=0)
-    walker = Node2VecWalker(graph, p=0.5, q=2.0)
-    rng = np.random.default_rng(0)
-
-    def run():
-        for start in range(0, graph.num_nodes, 7):
-            walker.walk(start, 20, rng)
-
-    benchmark(run)
-
-
-def test_ctdne_walk_sampling(benchmark):
-    graph = load("dblp", scale=0.3, seed=0)
-    walker = CTDNEWalker(graph)
-    rng = np.random.default_rng(0)
-
-    def run():
-        for _ in range(40):
-            walker.walk_from_edge(int(rng.integers(graph.num_edges)), 20, rng)
-
-    benchmark(run)
-
-
-def test_aggregator_forward_backward(benchmark):
-    graph = load("dblp", scale=0.2, seed=0)
-    walker = TemporalWalker(graph)
-    rng = np.random.default_rng(0)
-    emb = Embedding(graph.num_nodes, 32, rng=0)
-    agg = TwoLevelAggregator(32, rng=0)
-    t_anchor = graph.time_span[1] + 1.0
-    targets = np.arange(16)
-    walk_sets = [walker.walks(int(v), t_anchor, 4, 6, rng) for v in targets]
-    batch = batch_walks(walk_sets, graph.scale_time)
-    params = [emb.weight] + agg.parameters()
-
-    def run():
-        z = agg(emb, targets, batch)
-        loss = (z * z * z).sum()
-        for p in params:
-            p.zero_grad()
-        loss.backward()
-
-    benchmark(run)
 
 
 def test_alias_table_sampling(benchmark):
@@ -106,13 +44,3 @@ def test_historical_neighborhood_query(benchmark):
             graph.events_before(v, cut)
 
     benchmark(run)
-
-
-def test_ehna_single_epoch_small(benchmark):
-    graph = load("dblp", scale=0.06, seed=0)
-
-    def run():
-        EHNA(dim=16, epochs=1, batch_size=32, num_walks=2, walk_length=4,
-             num_negatives=2, seed=0).fit(graph)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
