@@ -171,6 +171,8 @@ class DeepWalk(Node2Vec):
         order = np.arange(graph.num_nodes)
         for _ in range(self.num_walks):
             self._rng.shuffle(order)
+            # One walk per engine call: a whole round in one batch would
+            # draw the RNG in another order and so train on other walks.
             for v in order:
                 walk = engine.uniform(np.array([v]), self.walk_length, self._rng)[0]
                 if len(walk) > 1:

@@ -3,8 +3,8 @@
 The central contract: with a batch of one walk, the engine consumes the RNG
 stream draw-for-draw like the per-node ``*_walk_sequential`` reference loops
 of ``tests/oracles/walks.py``, so outputs are bitwise identical under a
-fixed seed — for all four walk families.  Plus: batched walks obey the same structural invariants as
-sequential ones.
+fixed seed — for all four walk families.  Plus: batched walks obey the same
+structural invariants as sequential ones.
 """
 
 import numpy as np
@@ -32,8 +32,9 @@ def _rng_pair(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
-def _one(starts):
-    return np.array([starts])
+def _one(value):
+    """A batch of one."""
+    return np.array([value])
 
 
 def _assert_same_walk(a, b):

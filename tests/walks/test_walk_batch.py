@@ -2,10 +2,10 @@
 
 ``BatchedWalkEngine.temporal_walk_batch`` / ``uniform_walk_batch`` must
 produce *bitwise* the same padded arrays as sampling ``Walk`` sets and
-padding them through the ``batch_walks`` oracle — same RNG draws, same [0, 1] time
-scaling, same time-sum accumulation order, same reversal and zero padding —
-for every layout (chronological or not, with or without context, two-level
-or merged).
+padding them through the ``batch_walks`` oracle (``tests/oracles/walks.py``)
+— same RNG draws, same [0, 1] time scaling, same time-sum accumulation
+order, same reversal and zero padding — for every layout (chronological or
+not, with or without context, two-level or merged).
 """
 
 import numpy as np
