@@ -2,7 +2,8 @@
 
 Three measurements, saved to ``benchmarks/results/streaming.txt``:
 
-1. **Ingest throughput** — replay a 50k-event synthetic stream into a base
+1. **Ingest throughput** — replay a 50k-event synthetic stream, validated
+   once into :class:`~repro.storage.EventBatch` micro-batches, into a base
    graph through the ``extend_in_place()`` append buffer (one compaction per
    ``compact_every`` events).  The replayed graph must be bitwise identical
    to a from-scratch ``TemporalGraph.from_edges`` build over the base plus
@@ -32,6 +33,7 @@ import numpy as np
 from repro.core import EHNA
 from repro.datasets import load
 from repro.graph import TemporalGraph
+from repro.storage import validate_event_columns
 from repro.stream import EventStreamLoader, OnlineService, WriteAheadLog
 
 NUM_NODES = 2000
@@ -47,7 +49,7 @@ MAX_WAL_SLOWDOWN = 2.0
 
 
 def synthetic_stream(seed=0):
-    """Base graph + a 50k-event micro-batched stream after its head."""
+    """Base graph + a 50k-event stream after its head, in validated batches."""
     rng = np.random.default_rng(seed)
     src = rng.integers(0, NUM_NODES, size=BASE_EVENTS)
     dst = (src + 1 + rng.integers(0, NUM_NODES - 1, size=BASE_EVENTS)) % NUM_NODES
@@ -59,17 +61,15 @@ def synthetic_stream(seed=0):
         s_src + 1 + rng.integers(0, NUM_NODES - 1, size=STREAM_EVENTS)
     ) % NUM_NODES
     s_time = 1000.0 + np.sort(rng.uniform(0.0, 5000.0, size=STREAM_EVENTS))
-    batches = [
-        (s_src[lo : lo + BATCH], s_dst[lo : lo + BATCH], s_time[lo : lo + BATCH])
-        for lo in range(0, STREAM_EVENTS, BATCH)
-    ]
+    stream = validate_event_columns(s_src, s_dst, s_time)
+    batches = [stream.slice(lo, lo + BATCH) for lo in range(0, STREAM_EVENTS, BATCH)]
     return base, batches
 
 
 def replay_amortized(base, batches) -> TemporalGraph:
     g = base.copy()
-    for src, dst, time in batches:
-        g.extend_in_place(src, dst, time, compact_every=COMPACT_EVERY)
+    for batch in batches:
+        g.extend_in_place(batch, compact_every=COMPACT_EVERY)
     g.compact()
     return g
 
@@ -79,9 +79,9 @@ def replay_amortized_with_wal(base, batches, wal_dir) -> TemporalGraph:
     shutil.rmtree(wal_dir, ignore_errors=True)
     wal = WriteAheadLog(wal_dir, sync="batch")
     g = base.copy()
-    for src, dst, time in batches:
-        wal.append(src, dst, time)
-        g.extend_in_place(src, dst, time, compact_every=COMPACT_EVERY)
+    for batch in batches:
+        wal.append(batch)
+        g.extend_in_place(batch, compact_every=COMPACT_EVERY)
     wal.close()
     g.compact()
     return g
@@ -109,8 +109,8 @@ def test_streaming_ingest_and_latency(save_result, tmp_path):
     # Same events, same graph — bitwise (amortization must be invisible).
     amortized = replay_amortized(base, batches)
     columns = [
-        np.concatenate([col, *(batch[i] for batch in batches)])
-        for i, col in enumerate((base.src, base.dst, base.time))
+        np.concatenate([getattr(base, name), *(getattr(b, name) for b in batches)])
+        for name in ("src", "dst", "time")
     ]
     rebuilt = TemporalGraph.from_edges(*columns, num_nodes=NUM_NODES)
     np.testing.assert_array_equal(amortized.src, rebuilt.src)

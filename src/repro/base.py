@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
+from repro.storage.base import EventBatch, validate_event_columns
 from repro.utils.checkpoint import (
     CheckpointError,
     _publish_staged,
@@ -47,26 +48,31 @@ from repro.utils.checkpoint import (
 )
 
 
-def parse_edge_batch(edges):
-    """Normalize a streamed-edge batch into ``(src, dst, time, weight)``.
+def parse_edge_batch(edges) -> EventBatch:
+    """Turn a streamed-edge batch from outside the program into an :class:`EventBatch`.
 
-    Two layouts are accepted, disambiguated by type (a 3-edge batch of rows
-    would otherwise be indistinguishable from three parallel columns):
+    The one entry for outside input on the write path
+    (``OnlineService.ingest``, ``partial_fit(edges)``).  An
+    :class:`~repro.storage.EventBatch` is already validated and passes
+    through unchanged.  Two raw layouts are parsed and then validated by
+    :func:`~repro.storage.validate_event_columns`, disambiguated by type (a
+    3-edge batch of rows would otherwise be indistinguishable from three
+    parallel columns):
 
     - a **tuple** of parallel column arrays ``(src, dst, time)`` or
       ``(src, dst, time, weight)``;
     - anything else (list, ndarray): a 2-D row matrix of shape ``(n, 3)`` /
       ``(n, 4)`` whose columns are ``u, v, t[, w]``.
     """
+    if isinstance(edges, EventBatch):
+        return edges
     if isinstance(edges, tuple):
         if len(edges) not in (3, 4):
             raise ValueError(
                 "a tuple edge batch must be (src, dst, time) or "
                 f"(src, dst, time, weight), got {len(edges)} elements"
             )
-        src, dst, time = edges[0], edges[1], edges[2]
-        weight = edges[3] if len(edges) == 4 else None
-        return src, dst, time, weight
+        return validate_event_columns(*edges)
     if (
         isinstance(edges, list)
         and len(edges) in (3, 4)
@@ -86,7 +92,9 @@ def parse_edge_batch(edges):
             f"(n, 3)/(n, 4) row matrix, got shape {getattr(arr, 'shape', None)}"
         )
     weight = arr[:, 3] if arr.shape[1] == 4 else None
-    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2], weight
+    return validate_event_columns(
+        arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2], weight
+    )
 
 
 def resolve_anchors(graph: TemporalGraph, nodes: np.ndarray, at):
@@ -184,9 +192,8 @@ class EmbeddingMethod(abc.ABC):
             raise RuntimeError("call fit() before partial_fit()")
         graph = self.graph
         if edges is not None:
-            src, dst, time, weight = parse_edge_batch(edges)
             graph = graph.copy().extend_in_place(
-                src, dst, time, weight, num_nodes=num_nodes
+                parse_edge_batch(edges), num_nodes=num_nodes
             )
         fresh = graph.take_fresh()
         if fresh.size == 0:
@@ -210,6 +217,10 @@ class EmbeddingMethod(abc.ABC):
     # ------------------------------------------------------------------
     #: Keys the base class reserves in the checkpoint array namespace.
     _GRAPH_KEYS = ("graph/src", "graph/dst", "graph/time", "graph/weight")
+
+    #: The archived array with one row per node the model has absorbed: its
+    #: row count is the graph's node count at the last fit or absorb.
+    _TABLE_KEY: str = ""
 
     def _precision_name(self) -> str:
         """The precision-policy name recorded in this method's checkpoints.
@@ -320,12 +331,21 @@ class EmbeddingMethod(abc.ABC):
         return cls._restore(load_checkpoint(path), precision)
 
     @classmethod
-    def _restore(cls, ck, precision: str | None = None, time_scale=None):
+    def _restore(
+        cls, ck, precision: str | None = None, time_scale=None, unabsorbed: int = 0
+    ):
         """:meth:`load` from an already read checkpoint.
 
         ``time_scale`` pins the restored graph's ``times01`` span before the
         model builds any state from the graph — a recovering service needs
         its walk engine built under the scale the live service ran with.
+
+        ``unabsorbed`` (a recovering service's staleness) is how many of the
+        newest graph rows the model has not absorbed yet.  The model is then
+        built over the rest, the absorbed prefix, at the node count of its
+        :attr:`_TABLE_KEY` table — the graph its live twin built its
+        sampling state on — and the newest rows are appended afterwards
+        through ``extend_in_place``, as the live service ingested them.
         """
         klass = _find_method_class(ck.class_name)
         if klass is None:
@@ -353,18 +373,23 @@ class EmbeddingMethod(abc.ABC):
         meta = dict(ck.meta)
         arrays = dict(ck.arrays)
         if all(k in arrays for k in cls._GRAPH_KEYS):
-            model.graph = TemporalGraph(
-                int(meta["graph_num_nodes"]),
-                arrays.pop("graph/src"),
-                arrays.pop("graph/dst"),
-                arrays.pop("graph/time"),
-                arrays.pop("graph/weight"),
+            columns = [arrays.pop(k) for k in cls._GRAPH_KEYS]
+            absorbed = columns[0].size - unabsorbed
+            num_nodes = (
+                arrays[klass._TABLE_KEY].shape[0]
+                if unabsorbed
+                else int(meta["graph_num_nodes"])
             )
+            model.graph = TemporalGraph(num_nodes, *(c[:absorbed] for c in columns))
             if time_scale is not None:
                 model.graph.pin_time_scale(*time_scale)
         model._rng = restore_rng(meta["rng_state"])
         model.name = meta.get("name", klass.name)
         model._load_state_dict(arrays, meta)
+        if unabsorbed:
+            model.graph.extend_in_place(
+                validate_event_columns(*(c[absorbed:] for c in columns))
+            )
         return model
 
     @classmethod

@@ -37,6 +37,7 @@ class HTNE(EmbeddingMethod):
     """Hawkes-process temporal embedding with closed-form SGD."""
 
     name = "HTNE"
+    _TABLE_KEY = "emb"
 
     def __init__(
         self,

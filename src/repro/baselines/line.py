@@ -41,6 +41,7 @@ class LINE(EmbeddingMethod):
     """Large-scale Information Network Embedding (orders 1 + 2)."""
 
     name = "LINE"
+    _TABLE_KEY = "first"
 
     def __init__(
         self,

@@ -266,6 +266,8 @@ class SGNSCheckpointMixin:
     just the two weight tables.
     """
 
+    _TABLE_KEY = "w_in"
+
     def _state_dict(self) -> tuple[dict, dict]:
         if self._model is None:
             raise RuntimeError("call fit() before save()")

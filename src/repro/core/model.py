@@ -75,6 +75,7 @@ class EHNA(EmbeddingMethod):
     """
 
     name = "EHNA"
+    _TABLE_KEY = "embedding"
 
     def __init__(
         self, config: EHNAConfig | None = None, seed=None, callbacks=(), **overrides

@@ -25,6 +25,7 @@ from collections import deque
 import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
+from repro.storage.base import validate_event_columns
 from repro.storage.memmap import MemmapStorage, MemmapStorageWriter
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fraction, check_positive
@@ -182,7 +183,7 @@ def generate_scaled_events(
         dst[loops] = (dst[loops] + 1) % num_nodes  # src == dst+1 is impossible here
         time = t_offset + np.cumsum(rng.exponential(mean_interarrival, size=block))
         t_offset = float(time[-1])
-        writer.append(src, dst, time)
+        writer.append(validate_event_columns(src, dst, time))
         remaining -= block
     return writer.finalize()
 

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
+from repro.storage.base import validate_event_columns
 from repro.storage.memmap import MemmapStorage, MemmapStorageWriter
 
 #: Lines parsed per chunk — bounds the per-chunk Python object population.
@@ -171,8 +172,8 @@ def ingest_edge_list(
     labels = dict(labels) if labels else {}
     meta = {"source": str(path), **(meta or {})}
     writer = MemmapStorageWriter(store_dir, meta=meta)
-    for src, dst, time, weight in _parse_chunks(path, labels, chunk_lines):
-        writer.append(src, dst, time, weight)
+    for chunk in _parse_chunks(path, labels, chunk_lines):
+        writer.append(validate_event_columns(*chunk))
     if writer.num_events == 0:
         raise ValueError(f"{path} contains no edges")
     return writer.finalize(), labels

@@ -52,7 +52,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.dtypes import index_dtype_for
-from repro.storage.base import ArrayStorage, GraphStorage, validate_event_columns
+from repro.storage.base import (
+    ArrayStorage,
+    EventBatch,
+    GraphStorage,
+    validate_event_columns,
+)
 from repro.utils.validation import check_fraction
 
 
@@ -85,7 +90,7 @@ class TemporalGraph:
         """Bind a storage backend and build the derived structures."""
         self._n = num_nodes
         self._store = store
-        self._pending: list[tuple] = []  # buffered (src, dst, time, weight)
+        self._pending: list[EventBatch] = []  # buffered, not yet merged
         self._pending_count = 0
         self._unabsorbed = np.empty(0, dtype=np.int64)  # compacted, unclaimed
         self._compactions = 0
@@ -129,11 +134,11 @@ class TemporalGraph:
         parallel edges (repeat interactions) are kept — they are meaningful
         temporal events (e.g. repeat collaborations in DBLP).
         """
-        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
-        if src.size == 0:
+        batch = validate_event_columns(src, dst, time, weight)
+        if batch.num_events == 0:
             raise ValueError("a temporal graph needs at least one edge")
 
-        max_node = int(max(src.max(), dst.max()))
+        max_node = int(max(batch.src.max(), batch.dst.max()))
         if num_nodes is None:
             num_nodes = max_node + 1
         elif num_nodes <= max_node:
@@ -141,8 +146,14 @@ class TemporalGraph:
                 f"num_nodes={num_nodes} too small for max node id {max_node}"
             )
 
-        order = np.argsort(time, kind="stable")
-        return cls(num_nodes, src[order], dst[order], time[order], weight[order])
+        order = np.argsort(batch.time, kind="stable")
+        return cls(
+            num_nodes,
+            batch.src[order],
+            batch.dst[order],
+            batch.time[order],
+            batch.weight[order],
+        )
 
     @classmethod
     def from_storage(
@@ -166,12 +177,12 @@ class TemporalGraph:
             raise ValueError("a temporal graph needs at least one edge")
         n = storage.num_nodes if num_nodes is None else int(num_nodes)
         if validate:
-            src, dst, time, _ = validate_event_columns(
+            batch = validate_event_columns(
                 storage.src, storage.dst, storage.time, storage.weight
             )
-            if np.any(np.diff(time) < 0):
+            if np.any(np.diff(batch.time) < 0):
                 raise ValueError("storage columns are not time-sorted")
-            max_node = int(max(src.max(), dst.max()))
+            max_node = int(max(batch.src.max(), batch.dst.max()))
             if n <= max_node:
                 raise ValueError(
                     f"num_nodes={n} too small for max node id {max_node}"
@@ -288,11 +299,13 @@ class TemporalGraph:
     # streaming extension (the amortized growth path)
     # ------------------------------------------------------------------
     def extend_in_place(
-        self, src, dst, time, weight=None, num_nodes=None, compact_every=None
+        self, batch: EventBatch, num_nodes=None, compact_every=None
     ) -> "TemporalGraph":
-        """Append events to this graph's buffer in O(batch); returns self.
+        """Append a validated batch to this graph's buffer in O(batch); returns self.
 
-        Events are validated and stored in an append buffer; the stable
+        ``batch`` comes from :func:`~repro.storage.validate_event_columns`
+        (or :func:`repro.base.parse_edge_batch`) and is not checked again.
+        It is stored in an append buffer; the stable
         merge + CSR rebuild runs once per compaction — when
         ``compact_every`` buffered events accumulate, on an explicit
         :meth:`compact`, or transparently on the first read of any derived
@@ -307,10 +320,9 @@ class TemporalGraph:
         object — the streaming ingest path (`repro.stream.OnlineService`) —
         not on graphs shared with other readers.
         """
-        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
-        if src.size == 0:
+        if batch.num_events == 0:
             return self
-        max_node = int(max(src.max(), dst.max()))
+        max_node = int(max(batch.src.max(), batch.dst.max()))
         n = max(self._n, max_node + 1)
         if num_nodes is not None:
             if num_nodes <= max_node:
@@ -319,8 +331,8 @@ class TemporalGraph:
                 )
             n = max(n, int(num_nodes))
         self._n = n
-        self._pending.append((src, dst, time, weight))
-        self._pending_count += src.size
+        self._pending.append(batch)
+        self._pending_count += batch.num_events
         if compact_every is not None and self._pending_count >= int(compact_every):
             self.compact()
         return self
@@ -349,10 +361,10 @@ class TemporalGraph:
         if not self._pending:
             return np.empty(0, dtype=np.int64)
         base_m = self._src.size
-        all_src = np.concatenate([self._src] + [p[0] for p in self._pending])
-        all_dst = np.concatenate([self._dst] + [p[1] for p in self._pending])
-        all_time = np.concatenate([self._time] + [p[2] for p in self._pending])
-        all_weight = np.concatenate([self._weight] + [p[3] for p in self._pending])
+        all_src = np.concatenate([self._src] + [b.src for b in self._pending])
+        all_dst = np.concatenate([self._dst] + [b.dst for b in self._pending])
+        all_time = np.concatenate([self._time] + [b.time for b in self._pending])
+        all_weight = np.concatenate([self._weight] + [b.weight for b in self._pending])
         self._pending.clear()
         self._pending_count = 0
         order = np.argsort(all_time, kind="stable")
@@ -385,30 +397,6 @@ class TemporalGraph:
         )
         self._compactions += 1
         return fresh
-
-    def restore_fresh_tail(self, count: int) -> "TemporalGraph":
-        """Re-mark the newest ``count`` events as not yet absorbed.
-
-        The crash-recovery hook behind
-        :meth:`repro.stream.OnlineService.recover`: a recovered graph is
-        rebuilt from checkpoint arrays, which lose the in-memory
-        "ingested but unabsorbed" bookkeeping — but the online-service
-        ingest path only ever appends at the stream head, so the
-        unabsorbed events are exactly the newest ``count`` rows of the
-        time-sorted table.  Overwrites (never extends) the unclaimed set;
-        returns self.
-        """
-        self._ensure_compacted()
-        count = int(count)
-        if count < 0 or count > self._src.size:
-            raise ValueError(
-                f"cannot mark {count} fresh events on a graph with "
-                f"{self._src.size} events"
-            )
-        self._unabsorbed = np.arange(
-            self._src.size - count, self._src.size, dtype=np.int64
-        )
-        return self
 
     def take_fresh(self) -> np.ndarray:
         """Claim the event ids appended since the last ``take_fresh``.

@@ -9,7 +9,8 @@ with a JSON manifest, columns mapped lazily), or in a shared-memory segment
 attachable zero-copy from worker processes via a picklable handle; the
 substrate of ``repro.parallel``).  Chunked ingestion goes
 through :class:`MemmapStorageWriter`; :func:`validate_event_columns` is the
-shared validation gate for both backends and the graph itself.  See
+one validation gate, and the :class:`EventBatch` it returns is what the
+writer, the write-ahead log and the graph accept.  See
 ``docs/architecture.md`` ("The storage layer") for the layout and the
 manifest format.
 """
@@ -18,6 +19,7 @@ from repro.storage.base import (
     COLUMN_DTYPES,
     COLUMNS,
     ArrayStorage,
+    EventBatch,
     GraphStorage,
     validate_event_columns,
 )
@@ -41,6 +43,7 @@ __all__ = [
     "SharedArrayPack",
     "PackHandle",
     "StoreFormatError",
+    "EventBatch",
     "validate_event_columns",
     "is_store_dir",
     "COLUMNS",

@@ -21,12 +21,17 @@ merged result into a fresh :class:`ArrayStorage` — the on-disk store is an
 immutable event log, not a database.
 
 :func:`validate_event_columns` is the single validation gate for event
-columns; ``TemporalGraph`` and the memmap ingestion writer both route
-through it so a bad event is rejected identically no matter which door it
-entered through.
+columns: it is the only constructor of an :class:`EventBatch`, so holding
+one *is* the proof that a batch was validated.  Every consumer on the write
+path — the write-ahead log, ``TemporalGraph.extend_in_place`` and the
+memmap ingestion writer — takes an ``EventBatch`` and trusts it, so a batch
+is validated once, where it enters, and rejected identically no matter
+which door it entered through.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +51,54 @@ COLUMN_DTYPES = {
 }
 
 
-def validate_event_columns(src, dst, time, weight=None):
-    """Cast and check parallel event columns; returns the casted tuple.
+@dataclass(frozen=True)
+class EventBatch:
+    """A validated micro-batch of temporal edge events (parallel columns).
 
-    The shared gate behind ``TemporalGraph.from_edges`` /
-    ``extend_in_place`` *and* the memmap ingestion writer: self-loops,
+    Built only by :func:`validate_event_columns` (and sliced by
+    :meth:`slice`), so every instance passed the event checks: ``src`` and
+    ``dst`` are int64, ``time`` and ``weight`` float64, all 1-D and of one
+    length.  Consumers take it without validating again.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    time: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.src.size)
+
+    @property
+    def num_events(self) -> int:
+        return int(self.src.size)
+
+    @property
+    def t_lo(self) -> float:
+        """Earliest event time of a time-ordered batch (NaN when empty)."""
+        return float(self.time[0]) if self.time.size else float("nan")
+
+    @property
+    def t_hi(self) -> float:
+        """Latest event time of a time-ordered batch (NaN when empty)."""
+        return float(self.time[-1]) if self.time.size else float("nan")
+
+    def slice(self, lo: int, hi: int) -> "EventBatch":
+        """Rows ``[lo, hi)`` as a batch (views, no copy): a slice of a
+        validated batch is a validated batch."""
+        return EventBatch(
+            self.src[lo:hi], self.dst[lo:hi], self.time[lo:hi], self.weight[lo:hi]
+        )
+
+
+def validate_event_columns(src, dst, time, weight=None) -> EventBatch:
+    """Cast and check parallel event columns; returns them as an :class:`EventBatch`.
+
+    The one gate for event columns from outside the program: self-loops,
     negative ids, non-finite timestamps and non-positive weights are
     rejected with the same messages everywhere.  Empty columns are allowed
-    (a no-op ``extend_in_place`` batch, an empty ingest chunk); callers that need at
-    least one event check separately.  ``weight=None`` fills unit weights.
+    (an empty ingest batch or chunk); callers that need at least one event
+    check separately.  ``weight=None`` fills unit weights.
 
     A valid batch passes one fused test — a single mask over every
     per-event rule, reduced once; a batch that fails it (or carries weights
@@ -69,7 +113,7 @@ def validate_event_columns(src, dst, time, weight=None):
     ok = (src != dst) & (src >= 0) & (dst >= 0) & np.isfinite(time)
     if weight is None:
         if ok.all():
-            return src, dst, time, np.ones(src.size, dtype=np.float64)
+            return EventBatch(src, dst, time, np.ones(src.size, dtype=np.float64))
     elif (
         isinstance(weight, np.ndarray)
         and weight.dtype == np.float64
@@ -77,13 +121,14 @@ def validate_event_columns(src, dst, time, weight=None):
     ):
         ok &= (weight > 0) & np.isfinite(weight)
         if ok.all():
-            return src, dst, time, weight
-    return _validate_in_order(src, dst, time, weight)
+            return EventBatch(src, dst, time, weight)
+    return EventBatch(src, dst, time, _validate_in_order(src, dst, time, weight))
 
 
-def _validate_in_order(src, dst, time, weight):
+def _validate_in_order(src, dst, time, weight) -> np.ndarray:
     """Run the event checks one by one, in the precedence order of their
-    errors (``src``, ``dst`` and ``time`` arrive already cast)."""
+    errors (``src``, ``dst`` and ``time`` arrive already cast); returns the
+    cast weights."""
     if np.any(src == dst):
         raise ValueError("self-loops are not allowed in a temporal network")
     if not np.all(np.isfinite(time)):
@@ -98,7 +143,7 @@ def _validate_in_order(src, dst, time, weight):
             raise ValueError("edge weights must be finite and positive")
     if np.any(src < 0) or np.any(dst < 0):
         raise ValueError("node ids must be non-negative integers")
-    return src, dst, time, weight
+    return weight
 
 
 class GraphStorage:

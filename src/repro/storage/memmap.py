@@ -20,7 +20,7 @@ once mapped the OS pages it in on demand, so a 10M-event store costs no
 resident memory up front.
 
 :class:`MemmapStorageWriter` is the chunked ingestion path: ``append`` takes
-validated event columns in fixed-size chunks (never materializing the whole
+validated :class:`~repro.storage.base.EventBatch` chunks (never materializing the whole
 log, never building a Python object per row) and streams each column's raw
 bytes to disk; ``finalize`` seals the files into ``.npy`` form, globally
 **stable-sorts by time** if the chunks did not arrive sorted (so a store is
@@ -42,6 +42,7 @@ from numpy.lib import format as npy_format
 from repro.storage.base import (
     COLUMN_DTYPES,
     COLUMNS,
+    EventBatch,
     GraphStorage,
     validate_event_columns,
 )
@@ -245,11 +246,10 @@ class MemmapStorage(GraphStorage):
         in-memory table streams to disk in bounded blocks.  Unsorted input
         is sorted at finalize exactly like chunked ingestion.
         """
-        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
+        batch = validate_event_columns(src, dst, time, weight)
         writer = MemmapStorageWriter(path, num_nodes=num_nodes, meta=meta)
-        for lo in range(0, src.size, int(chunk_events)):
-            hi = lo + int(chunk_events)
-            writer.append(src[lo:hi], dst[lo:hi], time[lo:hi], weight[lo:hi])
+        for lo in range(0, batch.num_events, int(chunk_events)):
+            writer.append(batch.slice(lo, lo + int(chunk_events)))
         return writer.finalize()
 
 
@@ -288,20 +288,20 @@ class MemmapStorageWriter:
         """Events appended so far."""
         return self._count
 
-    def append(self, src, dst, time, weight=None) -> "MemmapStorageWriter":
-        """Validate one chunk of events and stream it to disk; returns self."""
+    def append(self, batch: EventBatch) -> "MemmapStorageWriter":
+        """Stream one validated chunk of events to disk; returns self."""
         if self._finalized:
             raise RuntimeError("writer is finalized; open a new one to write more")
-        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
-        if src.size == 0:
+        if batch.num_events == 0:
             return self
+        time = batch.time
         if time[0] < self._last_time or np.any(np.diff(time) < 0):
             self._sorted = False
         self._last_time = float(time[-1])
-        self._max_node = max(self._max_node, int(src.max()), int(dst.max()))
-        for name, col in (("src", src), ("dst", dst), ("time", time), ("weight", weight)):
-            col.astype(COLUMN_DTYPES[name], copy=False).tofile(self._spills[name])
-        self._count += src.size
+        self._max_node = max(self._max_node, int(batch.src.max()), int(batch.dst.max()))
+        for name in COLUMNS:
+            getattr(batch, name).tofile(self._spills[name])
+        self._count += batch.num_events
         return self
 
     def finalize(self) -> MemmapStorage:

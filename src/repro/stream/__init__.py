@@ -21,7 +21,8 @@ See the "streaming layer" and "durability and recovery" sections of
 ``examples/crash_recovery.py`` for the end-to-end loops.
 """
 
-from repro.stream.loader import EventBatch, EventStreamLoader
+from repro.storage.base import EventBatch
+from repro.stream.loader import EventStreamLoader
 from repro.stream.metrics import LatencyTracker, ThroughputTracker
 from repro.stream.service import OnlineService
 from repro.stream.wal import (

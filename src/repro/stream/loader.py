@@ -1,7 +1,7 @@
 """Time-ordered micro-batching over an event stream.
 
 :class:`EventStreamLoader` turns parallel ``(src, dst, time[, weight])``
-columns into an iterator of :class:`EventBatch` micro-batches, split either
+columns into an iterator of :class:`~repro.storage.EventBatch` micro-batches, split either
 by **event count** (every batch has ``batch_size`` events, except possibly
 the last) or by **time window** (every batch covers one half-open interval
 ``[lo, lo + window)`` of the timeline).  The two policies differ at
@@ -9,10 +9,12 @@ timestamp ties: count batching slices purely by position, so simultaneous
 events may land in different batches; window batching assigns every event
 with the same timestamp to the same window, always.
 
-The stream must already be time-ordered — construction *validates* strict
-monotonicity (non-decreasing timestamps) and rejects out-of-order input
-with the offending position, instead of silently re-sorting and hiding a
-broken producer.  :meth:`EventStreamLoader.from_graph` replays any edge-id
+Construction validates the whole stream once: every event passes
+:func:`~repro.storage.validate_event_columns` (the batches are slices of
+the validated stream, so no consumer checks them again), and the stream
+must already be time-ordered — non-decreasing timestamps — or it is
+rejected with the offending position, instead of silently re-sorted to
+hide a broken producer.  :meth:`EventStreamLoader.from_graph` replays any edge-id
 subset of a :class:`~repro.graph.temporal_graph.TemporalGraph` (whose edge
 table is time-sorted by construction), which is how the replay task and the
 streaming benchmark drive a service from a held-out suffix.
@@ -20,47 +22,11 @@ streaming benchmark drive a service from a held-out suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
+from repro.storage.base import validate_event_columns
 from repro.utils.validation import check_positive
-
-
-@dataclass(frozen=True)
-class EventBatch:
-    """One micro-batch of temporal edge events (parallel column arrays)."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    time: np.ndarray
-    weight: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return int(self.src.size)
-
-    @property
-    def num_events(self) -> int:
-        return int(self.src.size)
-
-    @property
-    def t_lo(self) -> float:
-        """Earliest event time in the batch (NaN when empty)."""
-        return float(self.time[0]) if self.time.size else float("nan")
-
-    @property
-    def t_hi(self) -> float:
-        """Latest event time in the batch (NaN when empty)."""
-        return float(self.time[-1]) if self.time.size else float("nan")
-
-    def columns(self):
-        """The ``(src, dst, time[, weight])`` tuple that
-        :func:`repro.base.parse_edge_batch` and
-        :meth:`TemporalGraph.extend_in_place` accept directly."""
-        if self.weight is None:
-            return (self.src, self.dst, self.time)
-        return (self.src, self.dst, self.time, self.weight)
 
 
 class EventStreamLoader:
@@ -69,8 +35,10 @@ class EventStreamLoader:
     Parameters
     ----------
     src, dst, time, weight:
-        Parallel event columns; ``weight`` is optional.  ``time`` must be
-        non-decreasing (see module docstring).
+        Parallel event columns; ``weight`` is optional (unit weights).
+        ``time`` must be non-decreasing (see module docstring).  The
+        validated stream is kept as one :class:`~repro.storage.EventBatch`,
+        :attr:`events`.
     batch_size:
         Split by event count: every batch holds exactly this many events
         (the final batch may be shorter).  Mutually exclusive with
@@ -101,28 +69,25 @@ class EventStreamLoader:
                 "pass exactly one of batch_size= (count batching) or "
                 "window= (time-window batching)"
             )
-        self.src = np.ascontiguousarray(src, dtype=np.int64)
-        self.dst = np.ascontiguousarray(dst, dtype=np.int64)
-        self.time = np.ascontiguousarray(time, dtype=np.float64)
-        self.weight = (
-            None if weight is None else np.ascontiguousarray(weight, dtype=np.float64)
-        )
-        sizes = {self.src.size, self.dst.size, self.time.size} | (
-            set() if self.weight is None else {self.weight.size}
-        )
-        if len(sizes) != 1:
+        sizes = {
+            name: np.size(col)
+            for name, col in zip(("src", "dst", "time", "weight"), (src, dst, time, weight))
+            if col is not None
+        }
+        if len(set(sizes.values())) != 1:
             raise ValueError(
-                f"event columns disagree on length: src={self.src.size} "
-                f"dst={self.dst.size} time={self.time.size}"
-                + ("" if self.weight is None else f" weight={self.weight.size}")
+                "event columns disagree on length: "
+                + " ".join(f"{name}={n}" for name, n in sizes.items())
             )
-        bad = np.flatnonzero(np.diff(self.time) < 0)
+        self.events = validate_event_columns(src, dst, time, weight)
+        times = self.events.time
+        bad = np.flatnonzero(np.diff(times) < 0)
         if bad.size:
             i = int(bad[0]) + 1
             raise ValueError(
                 f"event stream is out of order: event {i} has time "
-                f"{self.time[i]} earlier than its predecessor "
-                f"{self.time[i - 1]}; replay events in non-decreasing "
+                f"{times[i]} earlier than its predecessor "
+                f"{times[i - 1]}; replay events in non-decreasing "
                 "time order"
             )
         if batch_size is not None:
@@ -130,8 +95,8 @@ class EventStreamLoader:
             self.batch_size: int | None = int(batch_size)
             self.window: float | None = None
             self._slices = [
-                (lo, min(lo + self.batch_size, self.time.size))
-                for lo in range(0, self.time.size, self.batch_size)
+                (lo, min(lo + self.batch_size, times.size))
+                for lo in range(0, times.size, self.batch_size)
             ]
         else:
             check_positive("window", window)
@@ -141,15 +106,15 @@ class EventStreamLoader:
 
     def _window_slices(self, drop_empty: bool) -> list[tuple[int, int]]:
         """Half-open index ranges, one per ``window``-wide time interval."""
-        n = self.time.size
-        if n == 0:
+        times = self.events.time
+        if times.size == 0:
             return []
-        t0 = self.time[0]
-        spans = int(np.floor((self.time[-1] - t0) / self.window)) + 1
+        t0 = times[0]
+        spans = int(np.floor((times[-1] - t0) / self.window)) + 1
         # side="left": an event exactly on a boundary opens the next window,
         # and every event sharing its timestamp travels with it.
         cuts = np.searchsorted(
-            self.time,
+            times,
             t0 + self.window * np.arange(1, spans + 1, dtype=np.int64),
             side="left",
         )
@@ -202,12 +167,12 @@ class EventStreamLoader:
         """Replay a :class:`~repro.storage.GraphStorage` backend's event log.
 
         Feeds the store's columns to the loader directly — for a
-        memory-mapped store the ``ascontiguousarray`` casts are no-ops on
-        the already contiguous maps, so batches are *views into the mapped
-        files* and replaying a 10M-event store never materializes it.  The
-        monotonicity validation still runs (one streaming pass); a store a
-        :class:`~repro.storage.MemmapStorageWriter` finalized is sorted by
-        construction and always passes.
+        memory-mapped store the validation's dtype casts are no-ops on the
+        maps, so batches are *views into the mapped files* and replaying a
+        10M-event store never materializes it.  The validation and the
+        monotonicity check still run (a few passes over the columns); a
+        store a :class:`~repro.storage.MemmapStorageWriter` finalized holds
+        validated, sorted events by construction and always passes.
         """
         return cls(
             storage.src,
@@ -221,7 +186,7 @@ class EventStreamLoader:
 
     @property
     def num_events(self) -> int:
-        return int(self.time.size)
+        return self.events.num_events
 
     def __len__(self) -> int:
         """Number of micro-batches the iterator will yield."""
@@ -229,9 +194,4 @@ class EventStreamLoader:
 
     def __iter__(self):
         for lo, hi in self._slices:
-            yield EventBatch(
-                src=self.src[lo:hi],
-                dst=self.dst[lo:hi],
-                time=self.time[lo:hi],
-                weight=None if self.weight is None else self.weight[lo:hi],
-            )
+            yield self.events.slice(lo, hi)

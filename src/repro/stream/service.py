@@ -75,8 +75,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.base import EmbeddingMethod, parse_edge_batch
-from repro.storage.base import validate_event_columns
-from repro.stream.loader import EventBatch
 from repro.stream.metrics import LatencyTracker, ThroughputTracker
 from repro.stream.wal import DEFAULT_SEGMENT_BYTES, WALError, WriteAheadLog
 from repro.utils import faults
@@ -212,15 +210,18 @@ class OnlineService:
     def ingest(self, events) -> "OnlineService":
         """Append one micro-batch of events to the model's graph.
 
-        ``events`` is an :class:`~repro.stream.loader.EventBatch` or any
-        form :func:`repro.base.parse_edge_batch` accepts.  Empty batches are
-        a no-op (but still count toward the ``train_every`` schedule, so a
+        ``events`` is any form :func:`repro.base.parse_edge_batch` accepts:
+        an :class:`~repro.storage.EventBatch` (already validated, e.g. from
+        an :class:`~repro.stream.EventStreamLoader`) passes through, and a
+        tuple or row matrix is validated there, once.  Empty batches are a
+        no-op (but still count toward the ``train_every`` schedule, so a
         quiet time window can trigger a scheduled absorb).
 
-        Ingest is **atomic**: the entire batch is validated — column
-        shapes, event invariants, stream order — before the WAL or the
-        graph see any of it, so a rejected batch leaves the service bitwise
-        unchanged.  With a WAL configured the validated batch is durably
+        Ingest is **atomic**: the entire batch is checked — column shapes,
+        event invariants, stream order — before the WAL or the graph see
+        any of it, so a rejected batch leaves the service bitwise
+        unchanged.  The WAL and the graph take the validated batch as it
+        is.  With a WAL configured the validated batch is durably
         logged *before* it is applied; a crash between the two replays the
         batch on recovery instead of losing it.  A background checkpoint
         write that failed since the last call is raised before the batch
@@ -236,10 +237,8 @@ class OnlineService:
         # The ingest that will capture waits for the write in flight here,
         # so a failed write is raised before this batch is touched.
         self._collect(wait=checkpoint_due)
-        if isinstance(events, EventBatch):
-            events = events.columns()
-        src, dst, time, weight = parse_edge_batch(events)
-        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
+        batch = parse_edge_batch(events)
+        time = batch.time
         if time.size:
             t_min = float(time.min())
             if t_min < self._head:
@@ -251,11 +250,9 @@ class OnlineService:
                 )
         faults.crash_point("service.ingest.validated")
         if self._wal is not None and not self._replaying:
-            self._wal.append(src, dst, time, weight, seq=self._batches + 1)
+            self._wal.append(batch, seq=self._batches + 1)
         if time.size:
-            self.graph.extend_in_place(
-                src, dst, time, weight, compact_every=self.compact_every
-            )
+            self.graph.extend_in_place(batch, compact_every=self.compact_every)
             faults.crash_point("service.ingest.applied")
             self._head = float(time.max())
             self._ingested += time.size
@@ -430,10 +427,12 @@ class OnlineService:
 
         Loads the checkpoint (verifying its checksums) with the time scale
         the original service ran under pinned before the model builds its
-        walk engine, restores every counter from the embedded watermark,
-        re-marks the checkpoint's unabsorbed
-        tail, then replays every WAL record past the watermark through the
-        ordinary ingest loop (``train_every`` absorbs fire exactly as they
+        walk engine.  The model is built over the checkpoint's absorbed
+        prefix — the graph its live twin's sampling state was built on —
+        and the unabsorbed tail is then appended as the live service
+        ingested it.  Every counter is restored from the embedded
+        watermark, then every WAL record past the watermark is replayed
+        through the ordinary ingest loop (``train_every`` absorbs fire exactly as they
         originally did; the restored RNG makes them deterministic).  The
         result is indistinguishable from a service that never crashed:
         bitwise-equal event table and graph, identical encode answers
@@ -452,8 +451,9 @@ class OnlineService:
                 "stream watermark; only OnlineService.checkpoint() output "
                 "is recoverable (wrap the model in a fresh service instead)"
             )
-        scale = wm.get("time_scale")
-        model = EmbeddingMethod._restore(ck, time_scale=scale)
+        model = EmbeddingMethod._restore(
+            ck, time_scale=wm.get("time_scale"), unabsorbed=int(wm["staleness"])
+        )
         cfg = dict(wm.get("service") or {})
         ckpt_path = overrides.pop("checkpoint_path", Path(checkpoint_path))
         cfg.update(overrides)
@@ -469,10 +469,6 @@ class OnlineService:
         service._absorbs = int(wm["absorbs"])
         service._since_absorb = int(wm["staleness"])
         service._batches_since_absorb = int(wm["batches_since_absorb"])
-        if service._since_absorb:
-            # Ingest only appends at the stream head, so the checkpoint's
-            # unabsorbed events are exactly the newest rows of the table.
-            model.graph.restore_fresh_tail(service._since_absorb)
         if service._wal is not None:
             wal = service._wal
             if wal.first_seq is not None and wal.first_seq > service._batches + 1:
@@ -485,7 +481,7 @@ class OnlineService:
             service._replaying = True
             try:
                 for record in wal.records(start_seq=service._batches + 1):
-                    service.ingest(record.columns())
+                    service.ingest(record.batch)
             finally:
                 service._replaying = False
             if wal.last_seq < service._batches:

@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.storage.base import validate_event_columns
+from repro.storage.base import EventBatch, validate_event_columns
 from repro.utils import faults
 from repro.utils.validation import check_positive
 
@@ -94,42 +94,33 @@ class WALCorruptionError(WALError):
 
 @dataclass(frozen=True)
 class WALRecord:
-    """One durably logged event batch (parallel column arrays)."""
+    """One durably logged event batch, validated again as it is read."""
 
     seq: int
-    src: np.ndarray
-    dst: np.ndarray
-    time: np.ndarray
-    weight: np.ndarray
-
-    @property
-    def num_events(self) -> int:
-        return int(self.src.size)
-
-    def columns(self):
-        """The ``(src, dst, time, weight)`` tuple ingest paths accept."""
-        return (self.src, self.dst, self.time, self.weight)
+    batch: EventBatch
 
 
 def _segment_path(directory: Path, index: int) -> Path:
     return directory / f"wal-{index:08d}.log"
 
 
-def _encode_record(seq: int, src, dst, time, weight) -> bytes:
+def _encode_record(seq: int, batch: EventBatch) -> bytes:
     payload = b"".join(
         (
-            _PAYLOAD_PREFIX.pack(int(seq), int(src.size)),
-            np.ascontiguousarray(src, dtype=np.int64).tobytes(),
-            np.ascontiguousarray(dst, dtype=np.int64).tobytes(),
-            np.ascontiguousarray(time, dtype=np.float64).tobytes(),
-            np.ascontiguousarray(weight, dtype=np.float64).tobytes(),
+            _PAYLOAD_PREFIX.pack(int(seq), batch.num_events),
+            batch.src.tobytes(),
+            batch.dst.tobytes(),
+            batch.time.tobytes(),
+            batch.weight.tobytes(),
         )
     )
     return _RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _decode_payload(payload: bytes, where: str) -> WALRecord:
-    """Parse a CRC-verified payload; malformed structure is corruption."""
+def _decode_payload(payload: bytes, where: str) -> tuple[int, tuple]:
+    """Parse a CRC-verified payload into ``(seq, columns)``; malformed
+    structure is corruption.  The columns are not validated yet (see
+    :func:`_validated`)."""
     if len(payload) < _PAYLOAD_PREFIX.size:
         raise WALCorruptionError(f"{where}: payload shorter than its prefix")
     seq, count = _PAYLOAD_PREFIX.unpack_from(payload)
@@ -146,7 +137,17 @@ def _decode_payload(payload: bytes, where: str) -> WALRecord:
             np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         )
         offset += count * 8
-    return WALRecord(int(seq), *cols)
+    return int(seq), tuple(cols)
+
+
+def _validated(seq: int, columns: tuple, where: str) -> WALRecord:
+    """The record of a decoded payload, its events validated: disk bytes
+    are outside input, and a batch that fails the event checks although
+    its CRC holds is corruption."""
+    try:
+        return WALRecord(seq, validate_event_columns(*columns))
+    except ValueError as exc:
+        raise WALCorruptionError(f"{where}: record {seq}: {exc}") from exc
 
 
 class WriteAheadLog:
@@ -213,20 +214,21 @@ class WriteAheadLog:
         for pos, (index, seg_path) in enumerate(segments):
             self._seg_index = max(self._seg_index, index)
             is_last = pos == len(segments) - 1
-            for record in self._read_segment(
+            for seq, _, _ in self._read_segment(
                 seg_path, truncate_torn=is_last, start_seq=1
             ):
-                if self._last_seq and record.seq != self._last_seq + 1:
+                if self._last_seq and seq != self._last_seq + 1:
                     raise WALCorruptionError(
-                        f"{seg_path}: record seq {record.seq} does not follow "
+                        f"{seg_path}: record seq {seq} does not follow "
                         f"{self._last_seq}; the log is missing records"
                     )
                 if self._first_seq is None:
-                    self._first_seq = record.seq
-                self._last_seq = max(self._last_seq, record.seq)
+                    self._first_seq = seq
+                self._last_seq = max(self._last_seq, seq)
 
     def _read_segment(self, seg_path: Path, truncate_torn: bool, start_seq: int):
-        """Yield records of one segment; handle its tail per the crash anatomy.
+        """Yield ``(seq, columns, where)`` for the records of one segment with
+        ``seq >= start_seq``; handle its tail per the crash anatomy.
 
         A short/garbled *tail* on the newest segment is truncated in place
         (``truncate_torn=True``); any anomaly elsewhere raises
@@ -274,9 +276,10 @@ class WriteAheadLog:
                 with seg_path.open("rb+") as fh:
                     fh.truncate(offset)
                 return
-            record = _decode_payload(payload, f"{seg_path} @ {offset}")
-            if record.seq >= start_seq:
-                yield record
+            where = f"{seg_path} @ {offset}"
+            seq, columns = _decode_payload(payload, where)
+            if seq >= start_seq:
+                yield seq, columns, where
             offset = body_at + length
 
     def _note_truncation(self, seg_path: Path, offset: int) -> None:
@@ -305,18 +308,17 @@ class WriteAheadLog:
         """Newest durable sequence number (0 when the log is empty)."""
         return self._last_seq
 
-    def append(self, src, dst, time, weight=None, seq: int | None = None) -> int:
+    def append(self, batch: EventBatch, seq: int | None = None) -> int:
         """Durably log one validated event batch; returns its seq.
 
-        The batch goes through :func:`~repro.storage.validate_event_columns`
-        — the WAL refuses events the graph would refuse, so replay can never
-        fail validation.  ``seq`` (when given) must equal :attr:`next_seq`;
+        An :class:`~repro.storage.EventBatch` holds only events the graph
+        accepts, so the log is not checked again here.  ``seq`` (when
+        given) must equal :attr:`next_seq`;
         a mismatch means the caller's idea of the stream and this directory
         diverged (e.g. a fresh service pointed at a stale WAL) and raises
         :class:`WALError` before any bytes are written.
         """
         faults.crash_point("wal.append.begin")
-        src, dst, time, weight = validate_event_columns(src, dst, time, weight)
         if seq is None:
             seq = self.next_seq
         elif int(seq) != self.next_seq:
@@ -325,7 +327,7 @@ class WriteAheadLog:
                 f"{self.next_seq} but {int(seq)} was offered — recover from "
                 "this WAL instead of appending to it"
             )
-        record = _encode_record(seq, src, dst, time, weight)
+        record = _encode_record(seq, batch)
         fh = self._writable_segment(len(record))
         faults.torn_write(fh, record, "wal.append.write")
         self._fh_size += len(record)
@@ -424,17 +426,24 @@ class WriteAheadLog:
         """Yield every durable record with ``seq >= start_seq``, in order.
 
         Reads the segment files (flushing the in-flight one first so the
-        iterator always observes the log's own appends).  Torn tails were
+        iterator always observes the log's own appends) and validates each
+        record's events as it is yielded — a record whose events fail the
+        checks raises :class:`WALCorruptionError`.  Torn tails were
         already truncated by the opening scan, so any damage found here —
         including a tail torn *after* open, which only an abandoned
         crashed-mid-append handle can leave — raises
         :class:`WALCorruptionError`; reopen the WAL to repair it.
         """
+        for seq, columns, where in self._entries(int(start_seq)):
+            yield _validated(seq, columns, where)
+
+    def _entries(self, start_seq: int):
+        """:meth:`records` before validation: ``(seq, columns, where)``."""
         if self._fh is not None:
             self._fh.flush()
         for _, seg_path in self._segment_files():
             yield from self._read_segment(
-                seg_path, truncate_torn=False, start_seq=int(start_seq)
+                seg_path, truncate_torn=False, start_seq=start_seq
             )
 
     def prune(self, upto_seq: int) -> list[Path]:
@@ -459,22 +468,18 @@ class WriteAheadLog:
             if open_path is not None and seg_path == open_path:
                 break
             last_in_segment = 0
-            for record in self._read_segment(
+            for seq, _, _ in self._read_segment(
                 seg_path, truncate_torn=False, start_seq=1
             ):
-                last_in_segment = record.seq
-                if record.seq > upto_seq:
+                last_in_segment = seq
+                if seq > upto_seq:
                     break
             if last_in_segment > upto_seq:
                 break
             seg_path.unlink()
             removed.append(seg_path)
         if removed:
-            remaining_first = None
-            for record in self.records():
-                remaining_first = record.seq
-                break
-            self._first_seq = remaining_first
+            self._first_seq = next((seq for seq, _, _ in self._entries(1)), None)
         return removed
 
     # ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.baselines import CTDNE, HTNE, LINE, Node2Vec
 from repro.base import parse_edge_batch
 from repro.core import EHNA
 from repro.datasets import temporal_sbm
+from repro.storage import validate_event_columns
 
 FAST = dict(dim=8, epochs=1, batch_size=32, num_walks=2, walk_length=3,
             num_negatives=2)
@@ -32,24 +33,24 @@ def future_edges(graph, count, seed=0, new_nodes=False):
 
 class TestParseEdgeBatch:
     def test_tuple_of_arrays(self):
-        src, dst, t, w = parse_edge_batch(([0, 1], [2, 3], [1.0, 2.0]))
-        assert w is None
-        np.testing.assert_array_equal(np.asarray(dst), [2, 3])
+        batch = parse_edge_batch(([0, 1], [2, 3], [1.0, 2.0]))
+        np.testing.assert_array_equal(batch.weight, [1.0, 1.0])  # unit weights
+        np.testing.assert_array_equal(batch.dst, [2, 3])
 
     def test_tuple_with_weights(self):
-        _, _, _, w = parse_edge_batch(([0], [2], [1.0], [3.0]))
-        np.testing.assert_array_equal(np.asarray(w), [3.0])
+        batch = parse_edge_batch(([0], [2], [1.0], [3.0]))
+        np.testing.assert_array_equal(batch.weight, [3.0])
 
     def test_row_matrix(self):
-        src, dst, t, w = parse_edge_batch(np.array([[0, 2, 1.5], [1, 3, 2.5]]))
-        assert src.dtype == np.int64
-        np.testing.assert_array_equal(src, [0, 1])
-        np.testing.assert_array_equal(t, [1.5, 2.5])
-        assert w is None
+        batch = parse_edge_batch(np.array([[0, 2, 1.5], [1, 3, 2.5]]))
+        assert batch.src.dtype == np.int64
+        np.testing.assert_array_equal(batch.src, [0, 1])
+        np.testing.assert_array_equal(batch.time, [1.5, 2.5])
+        np.testing.assert_array_equal(batch.weight, [1.0, 1.0])
 
     def test_row_matrix_with_weights(self):
-        _, _, _, w = parse_edge_batch(np.array([[0, 2, 1.5, 2.0]]))
-        np.testing.assert_array_equal(w, [2.0])
+        batch = parse_edge_batch(np.array([[0, 2, 1.5, 2.0]]))
+        np.testing.assert_array_equal(batch.weight, [2.0])
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="edges"):
@@ -58,11 +59,11 @@ class TestParseEdgeBatch:
     def test_list_of_three_rows_parses_as_rows(self):
         # A 3-row batch must not be mistaken for three column arrays
         # (columns are tuple-only); same for a 4-row batch vs. weights.
-        src, dst, t, w = parse_edge_batch([(0, 1, 5.0), (2, 3, 6.0), (4, 5, 7.0)])
-        np.testing.assert_array_equal(src, [0, 2, 4])
-        np.testing.assert_array_equal(dst, [1, 3, 5])
-        np.testing.assert_array_equal(t, [5.0, 6.0, 7.0])
-        assert w is None
+        batch = parse_edge_batch([(0, 1, 5.0), (2, 3, 6.0), (4, 5, 7.0)])
+        np.testing.assert_array_equal(batch.src, [0, 2, 4])
+        np.testing.assert_array_equal(batch.dst, [1, 3, 5])
+        np.testing.assert_array_equal(batch.time, [5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(batch.weight, [1.0, 1.0, 1.0])
 
     def test_bad_tuple_length_rejected(self):
         with pytest.raises(ValueError, match="tuple"):
@@ -144,7 +145,7 @@ class TestEHNAPartialFit:
 
         monkeypatch.setattr(model, "_apply_partial_fit", spy)
         src, dst, times = future_edges(graph, 8)
-        model.graph.extend_in_place(src[:5], dst[:5], times[:5])
+        model.graph.extend_in_place(validate_event_columns(src[:5], dst[:5], times[:5]))
         model.partial_fit((src[5:], dst[5:], times[5:]))
         assert len(seen) == 1
         assert seen[0].size == 8

@@ -7,6 +7,7 @@ import pytest
 
 from repro.datasets import load, load_cache_clear, load_cache_info
 from repro.datasets.registry import LOAD_CACHE_SIZE
+from repro.storage import validate_event_columns
 
 
 @pytest.fixture(autouse=True)
@@ -57,7 +58,7 @@ class TestLoadCache:
         g1 = load("digg", scale=0.05, seed=11)
         n, m = g1.num_nodes, g1.num_edges
         head = g1.time[-1]
-        g1.extend_in_place([0], [1], [head + 1.0])
+        g1.extend_in_place(validate_event_columns([0], [1], [head + 1.0]))
         g1.compact()
         assert g1.num_edges == m + 1
         # A second load sees the pristine graph, not the grown one.

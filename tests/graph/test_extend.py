@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.graph import TemporalGraph
+from repro.storage import validate_event_columns
 
 
 def base_graph() -> TemporalGraph:
@@ -22,7 +23,7 @@ def base_graph() -> TemporalGraph:
 
 def grown(src, dst, t, w=None, num_nodes=None):
     """``base_graph()`` with one batch appended and compacted."""
-    g = base_graph().extend_in_place(src, dst, t, w, num_nodes=num_nodes)
+    g = base_graph().extend_in_place(validate_event_columns(src, dst, t, w), num_nodes=num_nodes)
     return g, g.compact()
 
 
@@ -49,7 +50,7 @@ class TestExtend:
 
     def test_new_nodes_grow_id_space(self):
         g = base_graph()
-        twin = g.copy().extend_in_place([0], [7], [5.0])
+        twin = g.copy().extend_in_place(validate_event_columns([0], [7], [5.0]))
         assert twin.num_nodes == 8  # grows before compaction
         assert g.num_nodes == 4  # the copy's growth is its own
         assert twin.degrees().size == 8
@@ -63,13 +64,13 @@ class TestExtend:
     def test_num_nodes_too_small_rejected(self):
         g = base_graph()
         with pytest.raises(ValueError, match="num_nodes"):
-            g.extend_in_place([0], [7], [5.0], num_nodes=5)
+            g.extend_in_place(validate_event_columns([0], [7], [5.0]), num_nodes=5)
         assert g.num_nodes == 4  # rejected before any state changed
         assert g.pending_events == 0
 
     def test_empty_batch_is_noop(self):
         g = base_graph()
-        assert g.extend_in_place([], [], []) is g
+        assert g.extend_in_place(validate_event_columns([], [], [])) is g
         assert g.compact().size == 0
         assert g.take_fresh().size == 0
 
@@ -92,7 +93,7 @@ class TestExtend:
     def test_invalid_edges_rejected(self, src, dst, t, w):
         g = base_graph()
         with pytest.raises(ValueError):
-            g.extend_in_place(src, dst, t, w)
+            g.extend_in_place(validate_event_columns(src, dst, t, w))
         assert g.pending_events == 0
 
     def test_extend_matches_from_edges(self):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.graph import TemporalGraph
+from repro.storage import validate_event_columns
 
 
 def random_events(rng, n_nodes, n_events, t_lo=0.0, t_hi=100.0):
@@ -54,15 +55,15 @@ class TestBufferedAccounting:
     def test_pending_events_and_num_edges_include_the_buffer(self, path_graph):
         g = path_graph.copy()
         assert g.pending_events == 0
-        g.extend_in_place([0], [2], [5.0])
-        g.extend_in_place([1], [3], [6.0])
+        g.extend_in_place(validate_event_columns([0], [2], [5.0]))
+        g.extend_in_place(validate_event_columns([1], [3], [6.0]))
         assert g.pending_events == 2
         assert g.num_edges == 6  # 4 compacted + 2 buffered
         assert g.compactions == 0
 
     def test_any_reader_compacts_transparently(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place([0], [2], [5.0])
+        g.extend_in_place(validate_event_columns([0], [2], [5.0]))
         assert g.time[-1] == 5.0  # the read absorbed the buffer
         assert g.pending_events == 0
         assert g.compactions == 1
@@ -70,15 +71,15 @@ class TestBufferedAccounting:
     def test_compact_every_triggers_automatically(self, path_graph):
         g = path_graph.copy()
         for i in range(5):
-            g.extend_in_place([0], [1], [10.0 + i], compact_every=3)
+            g.extend_in_place(validate_event_columns([0], [1], [10.0 + i]), compact_every=3)
         # 3 events tripped one compaction; 2 are still buffered.
         assert g.compactions == 1
         assert g.pending_events == 2
 
     def test_compact_returns_sorted_fresh_positions(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place([0], [1], [0.5])  # lands before everything
-        g.extend_in_place([2], [3], [9.0])  # lands at the end
+        g.extend_in_place(validate_event_columns([0], [1], [0.5]))  # lands before everything
+        g.extend_in_place(validate_event_columns([2], [3], [9.0]))  # lands at the end
         fresh = g.compact()
         np.testing.assert_array_equal(fresh, [0, 5])
         np.testing.assert_array_equal(g.time[fresh], [0.5, 9.0])
@@ -90,27 +91,27 @@ class TestBufferedAccounting:
 
     def test_empty_batch_is_a_noop(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place(np.empty(0, int), np.empty(0, int), np.empty(0))
+        g.extend_in_place(validate_event_columns(np.empty(0, int), np.empty(0, int), np.empty(0)))
         assert g.pending_events == 0
         assert g.num_edges == 4
 
     def test_num_nodes_grows_with_new_ids_and_headroom(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place([5], [6], [9.0])
+        g.extend_in_place(validate_event_columns([5], [6], [9.0]))
         assert g.num_nodes == 7
-        g.extend_in_place([0], [1], [9.5], num_nodes=10)
+        g.extend_in_place(validate_event_columns([0], [1], [9.5]), num_nodes=10)
         assert g.num_nodes == 10
 
     def test_num_nodes_too_small_is_rejected(self, path_graph):
         g = path_graph.copy()
         with pytest.raises(ValueError, match="num_nodes=3 too small"):
-            g.extend_in_place([7], [0], [9.0], num_nodes=3)
+            g.extend_in_place(validate_event_columns([7], [0], [9.0]), num_nodes=3)
 
 
 class TestTakeFresh:
     def test_take_fresh_claims_each_event_exactly_once(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place([0], [2], [5.0])
+        g.extend_in_place(validate_event_columns([0], [2], [5.0]))
         fresh = g.take_fresh()
         assert fresh.size == 1
         assert g.time[fresh[0]] == 5.0
@@ -118,9 +119,9 @@ class TestTakeFresh:
 
     def test_take_fresh_accumulates_across_compactions(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place([0], [2], [5.0])
+        g.extend_in_place(validate_event_columns([0], [2], [5.0]))
         g.compact()
-        g.extend_in_place([1], [3], [0.5])  # sorts before the first batch
+        g.extend_in_place(validate_event_columns([1], [3], [0.5]))  # sorts before the first batch
         fresh = g.take_fresh()
         # Both unclaimed events, at their *current* (re-sorted) positions.
         np.testing.assert_array_equal(np.sort(g.time[fresh]), [0.5, 5.0])
@@ -132,7 +133,7 @@ class TestCopy:
         g = path_graph.copy()
         twin = g.copy()
         assert twin.src is g.src
-        g.extend_in_place([0], [2], [5.0])
+        g.extend_in_place(validate_event_columns([0], [2], [5.0]))
         g.compact()
         assert g.num_edges == 5
         assert twin.num_edges == 4
@@ -141,14 +142,14 @@ class TestCopy:
 
     def test_copy_flushes_the_source_buffer_first(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place([0], [2], [5.0])
+        g.extend_in_place(validate_event_columns([0], [2], [5.0]))
         twin = g.copy()
         assert twin.num_edges == 5
         assert twin.pending_events == 0
 
     def test_copy_preserves_unabsorbed_events_independently(self, path_graph):
         g = path_graph.copy()
-        g.extend_in_place([0], [2], [5.0])
+        g.extend_in_place(validate_event_columns([0], [2], [5.0]))
         twin = g.copy()
         assert twin.take_fresh().size == 1
         assert g.take_fresh().size == 1  # the original's claim is its own
@@ -158,7 +159,7 @@ class TestPinnedTimeScale:
     def test_pinned_scale_freezes_times01_as_the_head_grows(self, path_graph):
         g = path_graph.copy().pin_time_scale()
         before = g.times01().copy()
-        g.extend_in_place([0], [1], [10.0])
+        g.extend_in_place(validate_event_columns([0], [1], [10.0]))
         g.compact()
         np.testing.assert_array_equal(g.times01()[:4], before)
         # The new event scales beyond 1 instead of squashing history.
@@ -167,7 +168,7 @@ class TestPinnedTimeScale:
     def test_unpinned_scale_rescales_live(self, path_graph):
         g = path_graph.copy()
         before = g.times01().copy()
-        g.extend_in_place([0], [1], [10.0])
+        g.extend_in_place(validate_event_columns([0], [1], [10.0]))
         g.compact()
         assert not np.array_equal(g.times01()[:4], before)
 
@@ -176,7 +177,7 @@ class TestPinnedTimeScale:
         span = g.time_scale
         twin = g.copy()
         assert twin.time_scale == span
-        twin.extend_in_place([0], [1], [10.0])
+        twin.extend_in_place(validate_event_columns([0], [1], [10.0]))
         twin.compact()
         assert twin.time_scale == span
 
@@ -199,11 +200,11 @@ def _random_interleaving(seed: int):
         op = rng.integers(0, 4)
         if op == 0:  # buffered append
             batch = random_events(rng, n_nodes, int(rng.integers(1, 6)))
-            g.extend_in_place(*batch)
+            g.extend_in_place(validate_event_columns(*batch))
             log.append(batch)
         elif op == 1:  # append with auto-compaction threshold
             batch = random_events(rng, n_nodes, int(rng.integers(1, 6)))
-            g.extend_in_place(*batch, compact_every=int(rng.integers(1, 8)))
+            g.extend_in_place(validate_event_columns(*batch), compact_every=int(rng.integers(1, 8)))
             log.append(batch)
         elif op == 2:
             g.compact()

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.datasets import temporal_sbm
 from repro.graph import TemporalGraph
+from repro.storage import validate_event_columns
 
 
 class TestIndexNarrowing:
@@ -80,7 +81,7 @@ class TestNbytes:
 class TestExtendKeepsNarrowing:
     def test_compact_rebuilds_narrowed_index(self, path_graph):
         g2 = path_graph.copy()
-        g2.extend_in_place(np.array([0]), np.array([4]), np.array([9.0]))
+        g2.extend_in_place(validate_event_columns(np.array([0]), np.array([4]), np.array([9.0])))
         fresh = g2.compact()
         assert g2.index_dtype == np.int32
         assert fresh.dtype == np.int64

@@ -15,6 +15,7 @@ from repro.core import EHNA, FlatParams
 from repro.datasets import load, load_cache_clear
 from repro.datasets.registry import PAPER_DATASETS
 from repro.graph.temporal_graph import TemporalGraph
+from repro.storage import validate_event_columns
 from repro.stream import EventStreamLoader
 from repro.walks.engine import BatchedWalkEngine
 
@@ -100,7 +101,7 @@ class TestStreamFromStorage:
         _, g_map = backend_pair
         loader = EventStreamLoader.from_storage(g_map.storage, batch_size=64)
         # No copy happened: the loader's columns are the store's own maps.
-        assert loader.time.base is not None
+        assert loader.events.time.base is not None
 
 
 class TestMemmapGraphStack:
@@ -115,8 +116,8 @@ class TestMemmapGraphStack:
         new_dst = np.array([2, 3], dtype=np.int64)
         new_t = np.full(2, float(g_mem.time[-1]) + 5.0)
         a, b = g_mem.copy(), g_map.copy()
-        a.extend_in_place(new_src, new_dst, new_t)
-        b.extend_in_place(new_src, new_dst, new_t)
+        a.extend_in_place(validate_event_columns(new_src, new_dst, new_t))
+        b.extend_in_place(validate_event_columns(new_src, new_dst, new_t))
         np.testing.assert_array_equal(a.src, b.src)
         np.testing.assert_array_equal(a.time, b.time)
         assert b.storage_backend == "memory"  # compaction materialized

@@ -39,22 +39,23 @@ def small_columns(n=6, seed=0):
 
 class TestValidateEventColumns:
     def test_casts_to_column_dtypes(self):
-        src, dst, time, weight = validate_event_columns(
+        batch = validate_event_columns(
             np.array([0, 1], dtype=np.int32),
             np.array([1, 2], dtype=np.int16),
             np.array([1, 2], dtype=np.int64),
             np.array([1, 1], dtype=np.float32),
         )
-        for col, arr in zip(COLUMNS, (src, dst, time, weight)):
-            assert arr.dtype == COLUMN_DTYPES[col]
+        for col in COLUMNS:
+            assert getattr(batch, col).dtype == COLUMN_DTYPES[col]
 
     def test_unit_weights_filled(self):
-        *_, weight = validate_event_columns([0], [1], [1.0])
-        np.testing.assert_array_equal(weight, [1.0])
+        batch = validate_event_columns([0], [1], [1.0])
+        np.testing.assert_array_equal(batch.weight, [1.0])
 
     def test_empty_columns_allowed(self):
-        src, dst, time, weight = validate_event_columns([], [], [])
-        assert src.size == dst.size == time.size == weight.size == 0
+        batch = validate_event_columns([], [], [])
+        assert batch.num_events == 0
+        assert batch.src.size == batch.dst.size == batch.time.size == batch.weight.size == 0
 
     @pytest.mark.parametrize(
         "src,dst,time,weight,match",
@@ -228,8 +229,8 @@ class TestMemmapStorageWriter:
         writer = MemmapStorageWriter(tmp_path / "s")
         for lo in range(0, 10, 3):
             writer.append(
-                src[lo : lo + 3], dst[lo : lo + 3], time[lo : lo + 3],
-                weight[lo : lo + 3],
+                validate_event_columns(src[lo : lo + 3], dst[lo : lo + 3], time[lo : lo + 3],
+                weight[lo : lo + 3]),
             )
         store = writer.finalize()
         np.testing.assert_array_equal(store.src, src)
@@ -241,8 +242,8 @@ class TestMemmapStorageWriter:
         src = np.arange(5)
         dst = np.arange(5) + 10
         writer = MemmapStorageWriter(tmp_path / "s")
-        writer.append(src[:3], dst[:3], time[:3])
-        writer.append(src[3:], dst[3:], time[3:])
+        writer.append(validate_event_columns(src[:3], dst[:3], time[:3]))
+        writer.append(validate_event_columns(src[3:], dst[3:], time[3:]))
         store = writer.finalize()
         order = np.argsort(time, kind="stable")
         np.testing.assert_array_equal(store.time, time[order])
@@ -257,7 +258,7 @@ class TestMemmapStorageWriter:
         dst = src + 5
         writer = MemmapStorageWriter(tmp_path / "s")
         for i in range(5):
-            writer.append(src[i : i + 1], dst[i : i + 1], time[i : i + 1])
+            writer.append(validate_event_columns(src[i : i + 1], dst[i : i + 1], time[i : i + 1]))
         store = writer.finalize()
         np.testing.assert_array_equal(store.src, [3, 1, 2, 4, 0])
         np.testing.assert_array_equal(store.time, [1.0, 2.0, 2.0, 2.0, 3.0])
@@ -266,7 +267,7 @@ class TestMemmapStorageWriter:
         # Identical (src, dst, time) rows are distinct events, not dupes to
         # drop — repeated interactions are signal in a temporal graph.
         writer = MemmapStorageWriter(tmp_path / "s")
-        writer.append([1, 1, 1], [2, 2, 2], [5.0, 5.0, 5.0])
+        writer.append(validate_event_columns([1, 1, 1], [2, 2, 2], [5.0, 5.0, 5.0]))
         store = writer.finalize()
         assert store.num_events == 3
 
@@ -278,19 +279,19 @@ class TestMemmapStorageWriter:
     def test_append_validates_events(self, tmp_path):
         writer = MemmapStorageWriter(tmp_path / "s")
         with pytest.raises(ValueError, match="self-loop"):
-            writer.append([3], [3], [1.0])
+            writer.append(validate_event_columns([3], [3], [1.0]))
 
     def test_sorted_input_skips_nothing(self, tmp_path):
         src, dst, time, weight = small_columns(n=8)
         writer = MemmapStorageWriter(tmp_path / "s", num_nodes=99)
-        writer.append(src, dst, time, weight)
+        writer.append(validate_event_columns(src, dst, time, weight))
         store = writer.finalize()
         assert store.num_nodes == 99
         np.testing.assert_array_equal(store.time, time)
 
     def test_writer_num_nodes_inferred_from_events(self, tmp_path):
         writer = MemmapStorageWriter(tmp_path / "s")
-        writer.append([0, 7], [3, 1], [1.0, 2.0])
+        writer.append(validate_event_columns([0, 7], [3, 1], [1.0, 2.0]))
         store = writer.finalize()
         assert store.num_nodes == 8
 
@@ -356,7 +357,7 @@ class TestDeepValidation:
 class TestCrashSafeFinalize:
     def test_interrupted_finalize_is_reported_not_mapped(self, tmp_path):
         writer = MemmapStorageWriter(tmp_path / "s")
-        writer.append(*small_columns())
+        writer.append(validate_event_columns(*small_columns()))
         # Simulate a crash before finalize: spill files exist, no manifest.
         with pytest.raises(StoreFormatError, match=r"\.spill"):
             MemmapStorage(tmp_path / "s")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import TemporalGraph
+from repro.storage import validate_event_columns
 from repro.stream import EventBatch, EventStreamLoader
 
 
@@ -144,22 +145,22 @@ class TestReplayAndBatches:
         loader = EventStreamLoader(src, dst, time, w, batch_size=3)
         batches = list(loader)
         np.testing.assert_array_equal(batches[0].weight, [1.0, 2.0, 3.0])
-        assert len(batches[0].columns()) == 4
+        np.testing.assert_array_equal(batches[1].weight, [4.0])
+        unweighted = next(iter(EventStreamLoader(src, dst, time, batch_size=3)))
+        np.testing.assert_array_equal(unweighted.weight, np.ones(3))
 
     def test_columns_feed_graph_growth_directly(self, tiny_graph):
         base, held = tiny_graph.split_recent(0.3)
         g = base.copy()
         for batch in EventStreamLoader.from_graph(tiny_graph, held, batch_size=2):
-            g.extend_in_place(*batch.columns())
+            g.extend_in_place(batch)
         g.compact()
         np.testing.assert_array_equal(g.time, tiny_graph.time)
 
     def test_event_batch_len_and_bounds(self):
-        b = EventBatch(
-            src=np.array([0, 1]),
-            dst=np.array([1, 2]),
-            time=np.array([1.0, 2.0]),
-        )
+        b = validate_event_columns([0, 1], [1, 2], [1.0, 2.0])
+        assert isinstance(b, EventBatch)
         assert len(b) == 2 and b.num_events == 2
         assert b.t_lo == 1.0 and b.t_hi == 2.0
-        assert len(b.columns()) == 3
+        tail = b.slice(1, 2)
+        assert isinstance(tail, EventBatch) and tail.t_lo == tail.t_hi == 2.0

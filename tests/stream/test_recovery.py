@@ -212,7 +212,7 @@ class TestRecoveryEdgeCases:
         recovered.ingest(batches[-1])
         assert recovered.wal.last_seq == len(batches)
         (record,) = recovered.wal.records(start_seq=len(batches))
-        assert record.num_events == batches[-1].num_events
+        assert record.batch.num_events == batches[-1].num_events
 
     def test_plain_model_checkpoint_is_not_recoverable(self, world, tmp_path):
         base, _ = world
@@ -373,7 +373,9 @@ class TestBackgroundPublish:
 class TestIngestAtomicity:
     def poisoned(self, batches):
         """A batch whose *last* event is invalid (a self-loop)."""
-        src, dst, time, weight = batches[0].columns()
+        src, dst, time, weight = (
+            batches[0].src, batches[0].dst, batches[0].time, batches[0].weight
+        )
         bad_dst = dst.copy()
         bad_dst[-1] = src[-1]
         return src, bad_dst, time, weight
@@ -460,6 +462,65 @@ class TestCheckpointWatermark:
             np.testing.assert_array_equal(
                 recovered.encode(nodes, at=at), svc.encode(nodes, at=at)
             )
+
+    @pytest.mark.parametrize("ingested", [1, 2, 3])
+    def test_recovery_is_exact_at_any_staleness(self, world, tmp_path, ingested):
+        # A checkpoint taken while events wait for an absorb: the recovered
+        # model must sample from the graph as of the last absorb, as the
+        # live one does, not from the whole checkpointed table.
+        svc, batches = fresh_service(
+            world, tmp_path, train_every=None, checkpoint_every=None
+        )
+        for batch in batches[:ingested]:
+            svc.ingest(batch)
+        assert svc.staleness == sum(b.num_events for b in batches[:ingested])
+        ck = svc.checkpoint()
+        recovered = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
+        assert recovered.staleness == svc.staleness
+        assert recovered.graph.num_nodes == svc.graph.num_nodes
+        np.testing.assert_array_equal(recovered.graph.time, svc.graph.time)
+        nodes = np.arange(svc.model.embeddings().shape[0])
+        lo, hi = svc.graph.time_span
+        for at in (lo + 0.25 * (hi - lo), 0.5 * (lo + hi), hi, None):
+            np.testing.assert_allclose(
+                recovered.encode(nodes, at=at), svc.encode(nodes, at=at),
+                rtol=0, atol=0,
+            )
+        # The unabsorbed tail is still unclaimed: one absorb on each side
+        # trains on the same events and keeps the two equal.
+        svc.absorb()
+        recovered.absorb()
+        assert recovered.stats()["absorbs"] == svc.stats()["absorbs"]
+        np.testing.assert_array_equal(
+            recovered.encode(nodes, at=hi), svc.encode(nodes, at=hi)
+        )
+
+    def test_recovery_with_unabsorbed_new_nodes(self, world, tmp_path):
+        # The tail brings node ids the model has no table rows for yet: the
+        # recovered model is built at the node count of its table and the
+        # graph grows again as the tail is appended.
+        svc, batches = fresh_service(
+            world, tmp_path, train_every=None, checkpoint_every=None
+        )
+        svc.ingest(batches[0])
+        rows = svc.model.embeddings().shape[0]
+        new = svc.graph.num_nodes + 3
+        svc.ingest(([0], [new], [float(svc.graph.time[-1])]))
+        ck = svc.checkpoint()
+        recovered = OnlineService.recover(ck, wal_dir=tmp_path / "wal")
+        assert recovered.graph.num_nodes == svc.graph.num_nodes == new + 1
+        assert recovered.model.embeddings().shape[0] == rows
+        nodes = np.arange(rows)
+        at = float(np.mean(svc.graph.time_span))
+        np.testing.assert_array_equal(
+            recovered.encode(nodes, at=at), svc.encode(nodes, at=at)
+        )
+        svc.absorb()
+        recovered.absorb()
+        assert recovered.model.embeddings().shape[0] == new + 1
+        np.testing.assert_array_equal(
+            recovered.model.embeddings(), svc.model.embeddings()
+        )
 
     def test_recover_accepts_overrides(self, world, tmp_path):
         svc, batches = fresh_service(world, tmp_path)

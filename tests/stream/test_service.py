@@ -142,13 +142,13 @@ class TestServing:
     ):
         import repro.stream.service as service_module
 
-        validate = service_module.validate_event_columns
+        parse = service_module.parse_edge_batch
 
-        def slow_validate(*columns):
+        def slow_parse(events):
             time.sleep(0.002)  # outside the graph append
-            return validate(*columns)
+            return parse(events)
 
-        monkeypatch.setattr(service_module, "validate_event_columns", slow_validate)
+        monkeypatch.setattr(service_module, "parse_edge_batch", slow_parse)
         model, graph, held = fitted
         svc = make_service(clone(model), train_every=2)
         loader = EventStreamLoader.from_graph(graph, held, batch_size=16)

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.storage import EventBatch, validate_event_columns
 from repro.stream.wal import (
     DEFAULT_SEGMENT_BYTES,
     SEGMENT_MAGIC,
@@ -32,7 +33,7 @@ def fill(wal, batches, n=8):
     out = []
     for i in range(batches):
         batch = make_batch(n, t0=float(i), node0=i)
-        wal.append(*batch)
+        wal.append(validate_event_columns(*batch))
         out.append(batch)
     return out
 
@@ -44,10 +45,10 @@ class TestRoundTrip:
         records = list(wal.records())
         assert [r.seq for r in records] == [1, 2, 3]
         for record, (src, dst, time, weight) in zip(records, sent):
-            np.testing.assert_array_equal(record.src, src)
-            np.testing.assert_array_equal(record.dst, dst)
-            np.testing.assert_array_equal(record.time, time)
-            np.testing.assert_array_equal(record.weight, weight)
+            np.testing.assert_array_equal(record.batch.src, src)
+            np.testing.assert_array_equal(record.batch.dst, dst)
+            np.testing.assert_array_equal(record.batch.time, time)
+            np.testing.assert_array_equal(record.batch.weight, weight)
 
     def test_reopen_resumes_after_the_last_record(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
@@ -55,22 +56,22 @@ class TestRoundTrip:
         wal.close()
         reopened = WriteAheadLog(tmp_path / "wal")
         assert reopened.next_seq == 3
-        reopened.append(*make_batch(4))
+        reopened.append(validate_event_columns(*make_batch(4)))
         assert [r.seq for r in reopened.records()] == [1, 2, 3]
 
     def test_empty_batch_is_a_durable_record(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
         empty = np.array([], dtype=np.int64)
-        wal.append(empty, empty, np.array([]), np.array([]))
+        wal.append(validate_event_columns(empty, empty, np.array([]), np.array([])))
         (record,) = wal.records()
-        assert record.seq == 1 and record.num_events == 0
+        assert record.seq == 1 and record.batch.num_events == 0
 
     def test_unit_weights_filled_like_the_graph_gate(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
         src, dst, time, _ = make_batch(4)
-        wal.append(src, dst, time)
+        wal.append(validate_event_columns(src, dst, time))
         (record,) = wal.records()
-        np.testing.assert_array_equal(record.weight, np.ones(4))
+        np.testing.assert_array_equal(record.batch.weight, np.ones(4))
 
     def test_records_start_seq_skips_the_prefix(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
@@ -81,7 +82,9 @@ class TestRoundTrip:
         wal = WriteAheadLog(tmp_path / "wal")
         with pytest.raises(ValueError, match="self-loops"):
             wal.append(
-                np.array([1]), np.array([1]), np.array([0.0]), np.array([1.0])
+                validate_event_columns(
+                    np.array([1]), np.array([1]), np.array([0.0]), np.array([1.0])
+                )
             )
         assert wal.last_seq == 0
         assert list(wal.records()) == []
@@ -90,15 +93,15 @@ class TestRoundTrip:
         wal = WriteAheadLog(tmp_path / "wal")
         fill(wal, 2)
         with pytest.raises(WALError, match="out of sequence"):
-            wal.append(*make_batch(4), seq=7)
+            wal.append(validate_event_columns(*make_batch(4)), seq=7)
 
     def test_columns_round_trip_into_wal_record(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
         fill(wal, 1)
         (record,) = wal.records()
         assert isinstance(record, WALRecord)
-        src, dst, time, weight = record.columns()
-        assert src.size == dst.size == time.size == weight.size == 8
+        assert isinstance(record.batch, EventBatch)
+        assert record.batch.num_events == 8
 
 
 class TestRotationAndPrune:
@@ -137,7 +140,7 @@ class TestRotationAndPrune:
         wal = WriteAheadLog(tmp_path / "wal")  # fresh: nothing to replay
         wal.fast_forward(9)
         assert wal.next_seq == 10
-        wal.append(*make_batch(4))
+        wal.append(validate_event_columns(*make_batch(4)))
         assert [r.seq for r in wal.records()] == [10]
 
     def test_fast_forward_refuses_a_log_with_records(self, tmp_path):
@@ -160,7 +163,7 @@ class TestRotationAndPrune:
         wal.rotate()
         wal.prune(upto_seq=3)
         assert wal.first_seq is None
-        wal.append(*make_batch(4), seq=4)
+        wal.append(validate_event_columns(*make_batch(4)), seq=4)
         assert [r.seq for r in wal.records()] == [4]
 
 
@@ -170,7 +173,7 @@ class TestCrashAnatomy:
         fill(wal, 2)
         with faults.inject("wal.append.write", byte_limit=10):
             with pytest.raises(InjectedCrash):
-                wal.append(*make_batch(8, t0=99.0))
+                wal.append(validate_event_columns(*make_batch(8, t0=99.0)))
         wal.close()
         reopened = WriteAheadLog(tmp_path / "wal")
         assert reopened.truncated_tail is not None
@@ -182,10 +185,10 @@ class TestCrashAnatomy:
         fill(wal, 1)
         with faults.inject("wal.append.write", byte_limit=4):
             with pytest.raises(InjectedCrash):
-                wal.append(*make_batch(8))
+                wal.append(validate_event_columns(*make_batch(8)))
         wal.close()
         reopened = WriteAheadLog(tmp_path / "wal")
-        reopened.append(*make_batch(4), seq=2)
+        reopened.append(validate_event_columns(*make_batch(4)), seq=2)
         assert [r.seq for r in reopened.records()] == [1, 2]
 
     def test_partial_segment_header_resets_cleanly(self, tmp_path):
@@ -197,7 +200,7 @@ class TestCrashAnatomy:
         (tmp_path / "wal" / "wal-00000002.log").write_bytes(SEGMENT_MAGIC[:2])
         reopened = WriteAheadLog(tmp_path / "wal")
         assert [r.seq for r in reopened.records()] == [1]
-        reopened.append(*make_batch(4))  # the reset segment is writable
+        reopened.append(validate_event_columns(*make_batch(4)))  # the reset segment is writable
 
     def test_mid_log_damage_is_corruption_not_truncation(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal", segment_max_bytes=400)

@@ -20,6 +20,7 @@ from oracles.walks import (
 )
 from repro.datasets import load, temporal_sbm
 from repro.graph import TemporalGraph
+from repro.storage import validate_event_columns
 from repro.walks import BatchedWalkEngine
 
 
@@ -234,7 +235,7 @@ class TestBatchedInvariants:
         assert engine._adjacent(src, dst).all()
         new_id = g.num_nodes + 5
         g.extend_in_place(
-            np.array([0]), np.array([new_id]), np.array([g.time[-1] + 1.0])
+            validate_event_columns(np.array([0]), np.array([new_id]), np.array([g.time[-1] + 1.0]))
         )
         assert g.num_nodes > new_id
         assert engine._adjacent(src, dst).all()
