@@ -97,6 +97,35 @@ def parse_edge_batch(edges) -> EventBatch:
     )
 
 
+def check_node_ids(nodes, num_rows: int) -> np.ndarray:
+    """``nodes`` as an int64 id array, each id checked against a table of
+    ``num_rows`` embedding rows.
+
+    The one node-id gate of ``encode``: an id that is not an integer, is
+    negative, or has no row (including a node that was ingested but not
+    absorbed yet) raises ``ValueError`` naming it, instead of being cast,
+    wrapped around by numpy's negative indexing, or failing deep inside an
+    index lookup.
+    """
+    raw = np.atleast_1d(np.asarray(nodes))
+    if raw.dtype.kind == "f":
+        whole = np.isfinite(raw) & (raw == np.round(raw))
+    else:
+        whole = np.full(raw.shape, raw.dtype.kind in "iu")
+    if not whole.all():
+        raise ValueError(f"node id {raw[~whole][0].item()!r} is not an integer")
+    ids = raw.astype(np.int64, copy=False)
+    if np.any(ids < 0):
+        raise ValueError(f"node id {int(ids[ids < 0][0])} is negative")
+    if np.any(ids >= num_rows):
+        raise ValueError(
+            f"node id {int(ids[ids >= num_rows][0])} has no embedding row: the "
+            f"table holds {num_rows} nodes (ingested nodes get a row at the "
+            "next absorb)"
+        )
+    return ids
+
+
 def resolve_anchors(graph: TemporalGraph, nodes: np.ndarray, at):
     """Per-node anchor times for ``encode(nodes, at)``.
 
@@ -158,13 +187,14 @@ class EmbeddingMethod(abc.ABC):
         historical neighborhood *up to* ``at``, so the same node yields
         different embeddings at different anchors.
         """
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
+        table = self.embeddings()
+        nodes = check_node_ids(nodes, table.shape[0])
         # Validate the anchor spec even though the table ignores it, so
         # malformed serving requests fail identically across methods
         # (at=None is trivially valid and skips the per-node resolution).
         if at is not None and self.graph is not None:
             resolve_anchors(self.graph, nodes, at)
-        return self.embeddings()[nodes]
+        return table[nodes]
 
     # ------------------------------------------------------------------
     # v2: incremental training

@@ -33,7 +33,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.base import EmbeddingMethod, resolve_anchors
+from repro.base import EmbeddingMethod, check_node_ids, resolve_anchors
 from repro.core.aggregation import TwoLevelAggregator
 from repro.core.config import EHNAConfig
 from repro.core.loss import margin_hinge_loss
@@ -506,7 +506,7 @@ class EHNA(EmbeddingMethod):
         if self._final is None:
             raise RuntimeError("call fit() before encode()")
         cfg = self.config
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
+        nodes = check_node_ids(nodes, self._final.shape[0])
         anchors = _anchor_array(resolve_anchors(self.graph, nodes, at), nodes.size)
         # at=None resolved to each node's last event time — by definition
         # the table anchor, so reuse it instead of re-querying per node.

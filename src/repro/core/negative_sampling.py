@@ -2,9 +2,7 @@
 
 Negatives are drawn from the noise distribution ``P_n(v) ∝ d_v^0.75`` [17, 38]
 — the word2vec convention of sampling "negative words" by frequency.  Draws
-colliding with the positive edge's endpoints are rejected and redrawn; a flag
-additionally rejects existing neighbors (stricter than the paper, useful for
-ablation).
+colliding with the positive edge's endpoints are rejected and redrawn.
 """
 
 from __future__ import annotations
@@ -20,11 +18,10 @@ from repro.utils.validation import check_non_negative
 class NegativeSampler:
     """Alias-sampled noise distribution over nodes."""
 
-    def __init__(self, graph: TemporalGraph, power: float = 0.75, exclude_neighbors: bool = False):
+    def __init__(self, graph: TemporalGraph, power: float = 0.75):
         check_non_negative("power", power)
         self.graph = graph
         self.power = power
-        self.exclude_neighbors = exclude_neighbors
         weights = graph.degrees().astype(np.float64) ** power
         self._table = AliasTable(weights)
 
@@ -32,8 +29,7 @@ class NegativeSampler:
         """Draw negatives of the given ``shape = (B, Q)``.
 
         ``exclude_x``/``exclude_y`` are length-``B`` endpoint arrays; sampled
-        negatives equal to either endpoint of their row (or, optionally,
-        adjacent to ``exclude_x``) are redrawn.  After ``max_tries`` rounds
+        negatives equal to either endpoint of their row are redrawn.  After ``max_tries`` rounds
         any survivors are kept — with ``Q`` small and graphs non-trivial this
         is vanishingly rare and only risks a slightly easier negative.
         """
@@ -50,13 +46,6 @@ class NegativeSampler:
                 bad |= out == ex
             if ey is not None:
                 bad |= out == ey
-            if self.exclude_neighbors and ex is not None:
-                for i in range(shape[0]):
-                    for j in range(shape[1]):
-                        if not bad[i, j] and self.graph.has_edge(
-                            int(ex[i, 0]), int(out[i, j])
-                        ):
-                            bad[i, j] = True
             n_bad = int(bad.sum())
             if n_bad == 0:
                 break

@@ -20,9 +20,9 @@ once mapped the OS pages it in on demand, so a 10M-event store costs no
 resident memory up front.
 
 :class:`MemmapStorageWriter` is the chunked ingestion path: ``append`` takes
-validated :class:`~repro.storage.base.EventBatch` chunks (never materializing the whole
-log, never building a Python object per row) and streams each column's raw
-bytes to disk; ``finalize`` seals the files into ``.npy`` form, globally
+validated :class:`~repro.storage.EventBatch` chunks (never materializing
+the whole log, never building a Python object per row) and streams each
+column's raw bytes to disk; ``finalize`` seals the files into ``.npy`` form, globally
 **stable-sorts by time** if the chunks did not arrive sorted (so a store is
 always time-sorted, with arrival order preserved among ties — exactly the
 ``from_edges`` contract), and writes the manifest.

@@ -29,6 +29,14 @@ The service enforces stream order at the ingest boundary: a batch reaching
 back before the newest ingested event is rejected, matching the loader's
 monotonicity contract end to end.
 
+**Validated once.** Every batch travels as one
+:class:`~repro.storage.EventBatch`, which only
+:func:`~repro.storage.validate_event_columns` builds.  ``ingest`` turns
+outside input (a tuple or row matrix) into one through
+:func:`repro.base.parse_edge_batch`, which validates it there; a loader
+batch arrives validated and passes through.  The WAL and the graph take
+the batch as it is and do not check it again.
+
 **Durability.** With ``wal_dir=`` every accepted batch is logged to a
 :class:`~repro.stream.wal.WriteAheadLog` *before* it touches the graph, and
 with ``checkpoint_every=`` the service periodically snapshots the model
@@ -55,15 +63,17 @@ batch), with nothing pruned; a crash before the publish recovers from the
 previous checkpoint plus the unpruned WAL.  An explicit :meth:`checkpoint`
 runs all three steps on the calling thread.
 
-:meth:`recover` inverts the pair: reload the newest checkpoint, restore
-every service counter from the watermark, and replay the WAL suffix past
-it through the ordinary ingest/absorb loop.
+:meth:`recover` inverts the pair: reload the newest checkpoint over its
+absorbed prefix, append its unabsorbed tail as the live service ingested
+it, restore every service counter from the watermark, and replay the WAL
+suffix past it through the ordinary ingest/absorb loop (the WAL validates
+each record it reads back from disk).
 Because the checkpoint also carries the training RNG state, the recovered
 service is *exactly* the pre-crash one: bitwise-equal event table and
 graph, and encode answers identical (within the precision policy) to a run
-that never crashed.  Ingest itself is atomic — the whole batch is validated
-before the WAL or the graph see any of it, so a poisoned batch leaves zero
-side effects.
+that never crashed, at any staleness.  Ingest itself is atomic — the whole
+batch is validated before the WAL or the graph see any of it, so a
+poisoned batch leaves zero side effects.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from repro.datasets import temporal_sbm
 
 FAST = dict(dim=8, epochs=1, batch_size=32, num_walks=2, walk_length=3,
             num_negatives=2)
+NODE2VEC_FAST = dict(dim=8, epochs=1, num_walks=2, walk_length=4)
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,45 @@ class TestBaselineEncode:
         model = LINE(dim=8, seed=0, samples_per_edge=2).fit(graph)
         with pytest.raises(ValueError, match="anchor"):
             model.encode([0, 1, 2], at=[1.0])
+
+
+class TestMalformedNodeIds:
+    """Every ``encode`` path rejects a bad node id with a ValueError naming
+    it, at the default anchor and at a past one."""
+
+    CASES = [
+        ([0.5], r"node id 0\.5 is not an integer"),
+        ([-1], r"node id -1 is negative"),
+        ([30], r"node id 30 has no embedding row"),  # == num_nodes
+    ]
+
+    @pytest.fixture(scope="class")
+    def models(self, graph, fitted):
+        return {"EHNA": fitted, "Node2Vec": Node2Vec(seed=0, **NODE2VEC_FAST).fit(graph)}
+
+    @pytest.mark.parametrize("name", ["EHNA", "Node2Vec"])
+    @pytest.mark.parametrize("past", [False, True])
+    @pytest.mark.parametrize("ids,match", CASES)
+    def test_rejected_with_the_id(self, models, graph, name, past, ids, match):
+        at = 0.5 * sum(graph.time_span) if past else None
+        with pytest.raises(ValueError, match=match):
+            models[name].encode([1, *ids], at=None if at is None else [at, at])
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_service_rejects_a_node_not_yet_absorbed(self, graph, past):
+        from repro.stream import OnlineService
+
+        svc = OnlineService(EHNA(seed=0, **FAST).fit(graph))
+        new = graph.num_nodes + 1
+        svc.ingest(([0], [new], [graph.time_span[1]]))
+        assert svc.graph.num_nodes == new + 1  # the graph knows it ...
+        at = 0.5 * sum(graph.time_span) if past else None
+        with pytest.raises(ValueError, match=f"node id {new} has no embedding row"):
+            svc.encode([new], at=at)  # ... the table does not yet
+        svc.absorb()
+        assert svc.encode([new], at=at).shape == (1, FAST["dim"])
+
+    def test_integral_floats_are_ids(self, fitted):
+        np.testing.assert_array_equal(
+            fitted.encode(np.array([3.0, 0.0])), fitted.encode([3, 0])
+        )

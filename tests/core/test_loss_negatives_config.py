@@ -106,17 +106,6 @@ class TestNegativeSampler:
         assert not np.any(out == 3)
         assert not np.any(out == 0)
 
-    def test_exclude_neighbors_flag(self):
-        g = self.graph()
-        sampler = NegativeSampler(g, exclude_neighbors=True)
-        # node 0's neighbors are {1, 2, 3}; node 4 is the only non-neighbor.
-        xs = np.array([0] * 30)
-        out = sampler.sample((30, 2), rng=np.random.default_rng(2), exclude_x=xs)
-        for row in out:
-            for v in row:
-                assert not g.has_edge(0, int(v))
-                assert v != 0
-
     def test_power_zero_is_uniform_over_connected(self):
         g = self.graph()
         sampler = NegativeSampler(g, power=0.0)

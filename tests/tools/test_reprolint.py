@@ -33,6 +33,7 @@ from tools.reprolint import (  # noqa: E402
 
 ALL_RULE_IDS = (
     "RNG001", "DTYPE001", "SEAM001", "DUR001", "API001", "PAR001", "TEST001",
+    "EVT001",
 )
 
 #: A pytest.ini registering one custom marker, for TEST001 fixtures.
@@ -58,7 +59,7 @@ def rule_ids(findings) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def test_all_seven_rules_registered():
+def test_all_rules_registered():
     ids = [cls.rule_id for cls in registered_rule_classes()]
     assert list(ALL_RULE_IDS) == ids
     for cls in registered_rule_classes():
@@ -188,6 +189,56 @@ def test_seam001_allows_own_private_attrs_and_seam_modules(tmp_path):
         "src/repro/storage/foo.py": "def f(s):\n    return s._time\n",
         # Public accessors are always fine.
         "src/repro/tasks/foo.py": "def f(g):\n    return g.src, g.time\n",
+    })
+    assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# EVT001
+# ---------------------------------------------------------------------------
+
+
+def test_evt001_flags_event_batch_built_outside_the_gate(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/stream/foo.py": (
+            "from repro.storage import EventBatch\n"
+            "import repro.storage as storage\n"
+            "def f(s, d, t, w):\n"
+            "    a = EventBatch(s, d, t, w)\n"
+            "    return storage.EventBatch(s, d, t, w)\n"
+        ),
+        "tests/test_foo.py": (
+            "from repro.stream import EventBatch\n"
+            "b = EventBatch(src=[0], dst=[1], time=[0.0], weight=[1.0])\n"
+        ),
+    })
+    assert rule_ids(findings) == ["EVT001", "EVT001", "EVT001"]
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/stream/foo.py", 4),
+        ("src/repro/stream/foo.py", 5),
+        ("tests/test_foo.py", 2),
+    ]
+
+
+def test_evt001_allows_the_gate_and_batches_from_it(tmp_path):
+    findings = lint_tree(tmp_path, {
+        # The validation gate is the one constructor.
+        "src/repro/storage/base.py": (
+            "class EventBatch:\n"
+            "    def slice(self, lo, hi):\n"
+            "        return EventBatch(self.src[lo:hi], self.dst[lo:hi],\n"
+            "                          self.time[lo:hi], self.weight[lo:hi])\n"
+            "def validate_event_columns(s, d, t, w=None):\n"
+            "    return EventBatch(s, d, t, w)\n"
+        ),
+        # Everyone else asks the gate, and may name the type freely.
+        "src/repro/stream/foo.py": (
+            "from repro.storage import EventBatch, validate_event_columns\n"
+            "def f(s, d, t) -> EventBatch:\n"
+            "    batch = validate_event_columns(s, d, t)\n"
+            "    assert isinstance(batch, EventBatch)\n"
+            "    return batch.slice(0, 1)\n"
+        ),
     })
     assert findings == []
 

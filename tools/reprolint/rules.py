@@ -1,8 +1,8 @@
 """The rule plugins: each encodes one machine-checked repo contract.
 
 Every rule is a :class:`~tools.reprolint.engine.Rule` subclass registered
-via :func:`~tools.reprolint.engine.register`.  The seven shipped rules map
-one-to-one onto invariants earlier PRs established by convention:
+via :func:`~tools.reprolint.engine.register`.  The eight shipped rules map
+one-to-one onto invariants of the codebase:
 
 ========  ==============================================================
 RNG001    determinism: no process-global numpy RNG in ``src/``
@@ -12,6 +12,7 @@ DUR001    durability: fsync before every ``os.replace`` publish
 API001    API hygiene: ``__all__`` exports carry docstrings
 TEST001   test hygiene: pytest markers must be registered in pytest.ini
 PAR001    parallelism: shared arrays mutate only inside ``parallel/``
+EVT001    write path: ``EventBatch`` is built only by the validation gate
 ========  ==============================================================
 
 Path scopes are expressed against the scan root, so the same rules run
@@ -55,6 +56,9 @@ _DURABILITY_DIRS = ("src/repro/storage/",)
 
 #: The only package allowed to unfreeze shared-memory array views (PR10).
 _PARALLEL_DIRS = ("src/repro/parallel/",)
+
+#: The one file allowed to construct an EventBatch (the validation gate).
+_EVENT_BATCH_HOME = "src/repro/storage/base.py"
 
 #: Marker names pytest itself defines; never required in pytest.ini.
 _BUILTIN_MARKS = frozenset({
@@ -411,4 +415,38 @@ class MarkerRegistrationRule(Rule):
             f"pytest.mark.{name} is not registered in pytest.ini — add it "
             "to the markers list (tier-1 deselection depends on marker "
             "spelling)",
+        )
+
+
+@register
+class EventBatchRule(Rule):
+    """EVT001 — an ``EventBatch`` is built only by the validation gate.
+
+    Holding an ``EventBatch`` is the proof that its events passed
+    ``validate_event_columns``: the WAL, ``TemporalGraph.extend_in_place``
+    and the memmap writer trust it without checking again.  A batch built
+    anywhere else would carry that proof without the check.
+    """
+
+    rule_id = "EVT001"
+    title = "EventBatch built only in storage/base.py"
+    contract = (
+        "EventBatch(...) is constructed only in src/repro/storage/base.py "
+        "(by validate_event_columns and EventBatch.slice); everywhere else "
+        "a batch comes from validate_event_columns or parse_edge_batch"
+    )
+    interests = (ast.Call,)
+
+    def applies(self, ctx: FileContext) -> bool:
+        return ctx.rel != _EVENT_BATCH_HOME
+
+    def visit(self, node: ast.Call, ctx: FileContext):
+        name = dotted_name(node.func)
+        if name is None or name.rpartition(".")[2] != "EventBatch":
+            return
+        yield self.finding(
+            ctx, node.lineno,
+            "EventBatch(...) outside storage/base.py skips validation; "
+            "build the batch with validate_event_columns (or "
+            "repro.base.parse_edge_batch) instead",
         )
