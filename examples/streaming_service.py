@@ -25,8 +25,9 @@ def main() -> None:
     service = OnlineService(model, compact_every=512, train_every=4, epochs=1)
 
     # 3. Replay the held-out suffix as a validated, time-ordered stream of
-    #    50-event micro-batches, answering one time-anchored query per batch
-    #    while events keep arriving.
+    #    50-event micro-batches (the loader validates the stream once, so
+    #    ingest does not check its batches again), answering one
+    #    time-anchored query per batch while events keep arriving.
     query = np.arange(8)
     for batch in EventStreamLoader.from_graph(graph, held, batch_size=50):
         service.ingest(batch)  # O(batch) append; compaction is amortized
@@ -34,8 +35,8 @@ def main() -> None:
     service.absorb()  # flush: train on whatever is still unabsorbed
 
     # 4. The service kept score the whole time.  The ingest rate counts
-    #    whole ingest calls (validation, append, compaction), less the
-    #    automatic absorbs, which absorb_seconds times.
+    #    whole ingest calls (stream-order check, append, compaction), less
+    #    the automatic absorbs, which absorb_seconds times.
     stats = service.stats()
     print(f"ingested {stats['events_ingested']} events "
           f"at {stats['ingest_events_per_sec']:,.0f} events/s "

@@ -49,15 +49,11 @@ from repro.utils.checkpoint import (
 
 
 def parse_edge_batch(edges) -> EventBatch:
-    """Turn a streamed-edge batch from outside the program into an :class:`EventBatch`.
+    """Validate a streamed-edge batch from outside into an :class:`EventBatch`.
 
-    The one entry for outside input on the write path
-    (``OnlineService.ingest``, ``partial_fit(edges)``).  An
-    :class:`~repro.storage.EventBatch` is already validated and passes
-    through unchanged.  Two raw layouts are parsed and then validated by
-    :func:`~repro.storage.validate_event_columns`, disambiguated by type (a
-    3-edge batch of rows would otherwise be indistinguishable from three
-    parallel columns):
+    An ``EventBatch`` is already validated and passes through.  Two raw
+    layouts are validated here, disambiguated by type (a 3-edge batch of
+    rows would otherwise be indistinguishable from three parallel columns):
 
     - a **tuple** of parallel column arrays ``(src, dst, time)`` or
       ``(src, dst, time, weight)``;
@@ -91,22 +87,13 @@ def parse_edge_batch(edges) -> EventBatch:
             "edges must be a (src, dst, time[, weight]) tuple of arrays or an "
             f"(n, 3)/(n, 4) row matrix, got shape {getattr(arr, 'shape', None)}"
         )
-    weight = arr[:, 3] if arr.shape[1] == 4 else None
-    return validate_event_columns(
-        arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2], weight
-    )
+    return validate_event_columns(*arr.T)
 
 
 def check_node_ids(nodes, num_rows: int) -> np.ndarray:
-    """``nodes`` as an int64 id array, each id checked against a table of
-    ``num_rows`` embedding rows.
-
-    The one node-id gate of ``encode``: an id that is not an integer, is
-    negative, or has no row (including a node that was ingested but not
-    absorbed yet) raises ``ValueError`` naming it, instead of being cast,
-    wrapped around by numpy's negative indexing, or failing deep inside an
-    index lookup.
-    """
+    """``nodes`` as int64 ids into a table of ``num_rows`` rows: the id gate
+    of ``encode``.  A non-integer id, a negative one, or one without a row
+    (a node ingested but not yet absorbed) raises ``ValueError`` naming it."""
     raw = np.atleast_1d(np.asarray(nodes))
     if raw.dtype.kind == "f":
         whole = np.isfinite(raw) & (raw == np.round(raw))
@@ -119,9 +106,8 @@ def check_node_ids(nodes, num_rows: int) -> np.ndarray:
         raise ValueError(f"node id {int(ids[ids < 0][0])} is negative")
     if np.any(ids >= num_rows):
         raise ValueError(
-            f"node id {int(ids[ids >= num_rows][0])} has no embedding row: the "
-            f"table holds {num_rows} nodes (ingested nodes get a row at the "
-            "next absorb)"
+            f"node id {int(ids[ids >= num_rows][0])} has no embedding row among "
+            f"{num_rows} (a new node gets one at the next absorb)"
         )
     return ids
 
@@ -370,12 +356,10 @@ class EmbeddingMethod(abc.ABC):
         model builds any state from the graph — a recovering service needs
         its walk engine built under the scale the live service ran with.
 
-        ``unabsorbed`` (a recovering service's staleness) is how many of the
-        newest graph rows the model has not absorbed yet.  The model is then
-        built over the rest, the absorbed prefix, at the node count of its
-        :attr:`_TABLE_KEY` table — the graph its live twin built its
-        sampling state on — and the newest rows are appended afterwards
-        through ``extend_in_place``, as the live service ingested them.
+        ``unabsorbed`` (a recovering service's staleness) newest rows are
+        held back: the model is built over the absorbed prefix at its
+        :attr:`_TABLE_KEY` table's node count, as its live twin was, and
+        they are appended afterwards through ``extend_in_place``.
         """
         klass = _find_method_class(ck.class_name)
         if klass is None:
@@ -405,11 +389,9 @@ class EmbeddingMethod(abc.ABC):
         if all(k in arrays for k in cls._GRAPH_KEYS):
             columns = [arrays.pop(k) for k in cls._GRAPH_KEYS]
             absorbed = columns[0].size - unabsorbed
-            num_nodes = (
-                arrays[klass._TABLE_KEY].shape[0]
-                if unabsorbed
-                else int(meta["graph_num_nodes"])
-            )
+            num_nodes = int(meta["graph_num_nodes"])
+            if unabsorbed:
+                num_nodes = arrays[klass._TABLE_KEY].shape[0]
             model.graph = TemporalGraph(num_nodes, *(c[:absorbed] for c in columns))
             if time_scale is not None:
                 model.graph.pin_time_scale(*time_scale)

@@ -20,7 +20,6 @@ class NegativeSampler:
 
     def __init__(self, graph: TemporalGraph, power: float = 0.75):
         check_non_negative("power", power)
-        self.graph = graph
         self.power = power
         weights = graph.degrees().astype(np.float64) ** power
         self._table = AliasTable(weights)

@@ -135,10 +135,11 @@ class TemporalGraph:
         temporal events (e.g. repeat collaborations in DBLP).
         """
         batch = validate_event_columns(src, dst, time, weight)
-        if batch.num_events == 0:
+        src, dst, time, weight = batch.src, batch.dst, batch.time, batch.weight
+        if src.size == 0:
             raise ValueError("a temporal graph needs at least one edge")
 
-        max_node = int(max(batch.src.max(), batch.dst.max()))
+        max_node = int(max(src.max(), dst.max()))
         if num_nodes is None:
             num_nodes = max_node + 1
         elif num_nodes <= max_node:
@@ -146,14 +147,8 @@ class TemporalGraph:
                 f"num_nodes={num_nodes} too small for max node id {max_node}"
             )
 
-        order = np.argsort(batch.time, kind="stable")
-        return cls(
-            num_nodes,
-            batch.src[order],
-            batch.dst[order],
-            batch.time[order],
-            batch.weight[order],
-        )
+        order = np.argsort(time, kind="stable")
+        return cls(num_nodes, src[order], dst[order], time[order], weight[order])
 
     @classmethod
     def from_storage(
@@ -303,10 +298,8 @@ class TemporalGraph:
     ) -> "TemporalGraph":
         """Append a validated batch to this graph's buffer in O(batch); returns self.
 
-        ``batch`` comes from :func:`~repro.storage.validate_event_columns`
-        (or :func:`repro.base.parse_edge_batch`) and is not checked again.
-        It is stored in an append buffer; the stable
-        merge + CSR rebuild runs once per compaction — when
+        The batch is not checked again; it is stored in an append buffer,
+        and the stable merge + CSR rebuild runs once per compaction — when
         ``compact_every`` buffered events accumulate, on an explicit
         :meth:`compact`, or transparently on the first read of any derived
         structure.  New node ids beyond the current id space grow the graph

@@ -9,8 +9,7 @@ with a JSON manifest, columns mapped lazily), or in a shared-memory segment
 attachable zero-copy from worker processes via a picklable handle; the
 substrate of ``repro.parallel``).  Chunked ingestion goes
 through :class:`MemmapStorageWriter`; :func:`validate_event_columns` is the
-one validation gate, and the :class:`EventBatch` it returns is what the
-writer, the write-ahead log and the graph accept.  See
+one validation gate, and builds the :class:`EventBatch` they accept.  See
 ``docs/architecture.md`` ("The storage layer") for the layout and the
 manifest format.
 """

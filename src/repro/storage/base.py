@@ -21,12 +21,9 @@ merged result into a fresh :class:`ArrayStorage` — the on-disk store is an
 immutable event log, not a database.
 
 :func:`validate_event_columns` is the single validation gate for event
-columns: it is the only constructor of an :class:`EventBatch`, so holding
-one *is* the proof that a batch was validated.  Every consumer on the write
-path — the write-ahead log, ``TemporalGraph.extend_in_place`` and the
-memmap ingestion writer — takes an ``EventBatch`` and trusts it, so a batch
-is validated once, where it enters, and rejected identically no matter
-which door it entered through.
+columns and the only constructor of an :class:`EventBatch`; the write-ahead
+log, ``TemporalGraph.extend_in_place`` and the memmap writer take a batch
+and trust it, so a batch is validated once, where it enters.
 """
 
 from __future__ import annotations
@@ -53,13 +50,9 @@ COLUMN_DTYPES = {
 
 @dataclass(frozen=True)
 class EventBatch:
-    """A validated micro-batch of temporal edge events (parallel columns).
-
-    Built only by :func:`validate_event_columns` (and sliced by
-    :meth:`slice`), so every instance passed the event checks: ``src`` and
-    ``dst`` are int64, ``time`` and ``weight`` float64, all 1-D and of one
-    length.  Consumers take it without validating again.
-    """
+    """A validated micro-batch of temporal edge events: int64 ``src``/``dst``
+    and float64 ``time``/``weight``, 1-D and of one length.  Built only by
+    :func:`validate_event_columns` and :meth:`slice`."""
 
     src: np.ndarray
     dst: np.ndarray
@@ -127,8 +120,7 @@ def validate_event_columns(src, dst, time, weight=None) -> EventBatch:
 
 def _validate_in_order(src, dst, time, weight) -> np.ndarray:
     """Run the event checks one by one, in the precedence order of their
-    errors (``src``, ``dst`` and ``time`` arrive already cast); returns the
-    cast weights."""
+    errors (``src``, ``dst`` and ``time`` arrive already cast); returns the weights."""
     if np.any(src == dst):
         raise ValueError("self-loops are not allowed in a temporal network")
     if not np.all(np.isfinite(time)):
@@ -160,9 +152,6 @@ class GraphStorage:
     #: Short backend label ("memory", "memmap"), surfaced as
     #: ``TemporalGraph.storage_backend`` and used in dataset cache keys.
     backend = "abstract"
-
-    #: Canonical column order (class-level alias of :data:`COLUMNS`).
-    columns = COLUMNS
 
     def column(self, name: str) -> np.ndarray:
         """The named column as a 1-D array (may be a lazily opened memmap)."""

@@ -22,10 +22,10 @@ resident memory up front.
 :class:`MemmapStorageWriter` is the chunked ingestion path: ``append`` takes
 validated :class:`~repro.storage.EventBatch` chunks (never materializing
 the whole log, never building a Python object per row) and streams each
-column's raw bytes to disk; ``finalize`` seals the files into ``.npy`` form, globally
-**stable-sorts by time** if the chunks did not arrive sorted (so a store is
-always time-sorted, with arrival order preserved among ties — exactly the
-``from_edges`` contract), and writes the manifest.
+column's raw bytes to disk; ``finalize`` seals the files into ``.npy`` form,
+globally **stable-sorts by time** if the chunks did not arrive sorted (so a
+store is always time-sorted, with arrival order preserved among ties —
+exactly the ``from_edges`` contract), and writes the manifest.
 """
 
 from __future__ import annotations

@@ -1,22 +1,21 @@
 """Time-ordered micro-batching over an event stream.
 
 :class:`EventStreamLoader` turns parallel ``(src, dst, time[, weight])``
-columns into an iterator of :class:`~repro.storage.EventBatch` micro-batches, split either
-by **event count** (every batch has ``batch_size`` events, except possibly
-the last) or by **time window** (every batch covers one half-open interval
-``[lo, lo + window)`` of the timeline).  The two policies differ at
+columns into an iterator of :class:`~repro.storage.EventBatch` micro-batches,
+split either by **event count** (every batch has ``batch_size`` events,
+except possibly the last) or by **time window** (every batch covers one
+half-open interval ``[lo, lo + window)`` of the timeline).  The two policies differ at
 timestamp ties: count batching slices purely by position, so simultaneous
 events may land in different batches; window batching assigns every event
 with the same timestamp to the same window, always.
 
-Construction validates the whole stream once: every event passes
-:func:`~repro.storage.validate_event_columns` (the batches are slices of
-the validated stream, so no consumer checks them again), and the stream
-must already be time-ordered — non-decreasing timestamps — or it is
-rejected with the offending position, instead of silently re-sorted to
-hide a broken producer.  :meth:`EventStreamLoader.from_graph` replays any edge-id
-subset of a :class:`~repro.graph.temporal_graph.TemporalGraph` (whose edge
-table is time-sorted by construction), which is how the replay task and the
+Construction validates the whole stream once (the batches are slices of
+it, so no consumer checks them again), and the stream must already be
+time-ordered — out-of-order input is rejected with the offending position
+instead of silently re-sorted to hide a broken producer.
+:meth:`EventStreamLoader.from_graph` replays any edge-id subset of a
+:class:`~repro.graph.temporal_graph.TemporalGraph` (whose edge table is
+time-sorted by construction), which is how the replay task and the
 streaming benchmark drive a service from a held-out suffix.
 """
 
@@ -35,10 +34,9 @@ class EventStreamLoader:
     Parameters
     ----------
     src, dst, time, weight:
-        Parallel event columns; ``weight`` is optional (unit weights).
-        ``time`` must be non-decreasing (see module docstring).  The
-        validated stream is kept as one :class:`~repro.storage.EventBatch`,
-        :attr:`events`.
+        Parallel event columns; ``weight`` is optional.  ``time`` must be
+        non-decreasing (see module docstring).  The validated stream is
+        :attr:`events`, one :class:`~repro.storage.EventBatch`.
     batch_size:
         Split by event count: every batch holds exactly this many events
         (the final batch may be shorter).  Mutually exclusive with
@@ -69,11 +67,8 @@ class EventStreamLoader:
                 "pass exactly one of batch_size= (count batching) or "
                 "window= (time-window batching)"
             )
-        sizes = {
-            name: np.size(col)
-            for name, col in zip(("src", "dst", "time", "weight"), (src, dst, time, weight))
-            if col is not None
-        }
+        named = zip(("src", "dst", "time", "weight"), (src, dst, time, weight))
+        sizes = {name: np.size(col) for name, col in named if col is not None}
         if len(set(sizes.values())) != 1:
             raise ValueError(
                 "event columns disagree on length: "

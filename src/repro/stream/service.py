@@ -29,13 +29,10 @@ The service enforces stream order at the ingest boundary: a batch reaching
 back before the newest ingested event is rejected, matching the loader's
 monotonicity contract end to end.
 
-**Validated once.** Every batch travels as one
-:class:`~repro.storage.EventBatch`, which only
-:func:`~repro.storage.validate_event_columns` builds.  ``ingest`` turns
-outside input (a tuple or row matrix) into one through
-:func:`repro.base.parse_edge_batch`, which validates it there; a loader
-batch arrives validated and passes through.  The WAL and the graph take
-the batch as it is and do not check it again.
+**Validated once.** A batch travels as one validated
+:class:`~repro.storage.EventBatch`: ``ingest`` validates outside input (a
+tuple or row matrix) in :func:`repro.base.parse_edge_batch`, a loader batch
+passes through, and the WAL and the graph do not check it again.
 
 **Durability.** With ``wal_dir=`` every accepted batch is logged to a
 :class:`~repro.stream.wal.WriteAheadLog` *before* it touches the graph, and
@@ -63,11 +60,10 @@ batch), with nothing pruned; a crash before the publish recovers from the
 previous checkpoint plus the unpruned WAL.  An explicit :meth:`checkpoint`
 runs all three steps on the calling thread.
 
-:meth:`recover` inverts the pair: reload the newest checkpoint over its
-absorbed prefix, append its unabsorbed tail as the live service ingested
-it, restore every service counter from the watermark, and replay the WAL
-suffix past it through the ordinary ingest/absorb loop (the WAL validates
-each record it reads back from disk).
+:meth:`recover` inverts the pair: reload the newest checkpoint (its
+unabsorbed tail re-ingested), restore every service counter from the
+watermark, and replay the WAL suffix past it through the ordinary
+ingest/absorb loop.
 Because the checkpoint also carries the training RNG state, the recovered
 service is *exactly* the pre-crash one: bitwise-equal event table and
 graph, and encode answers identical (within the precision policy) to a run
@@ -220,18 +216,16 @@ class OnlineService:
     def ingest(self, events) -> "OnlineService":
         """Append one micro-batch of events to the model's graph.
 
-        ``events`` is any form :func:`repro.base.parse_edge_batch` accepts:
-        an :class:`~repro.storage.EventBatch` (already validated, e.g. from
-        an :class:`~repro.stream.EventStreamLoader`) passes through, and a
-        tuple or row matrix is validated there, once.  Empty batches are a
-        no-op (but still count toward the ``train_every`` schedule, so a
-        quiet time window can trigger a scheduled absorb).
+        ``events`` is an :class:`~repro.storage.EventBatch` (validated
+        already) or any raw form :func:`repro.base.parse_edge_batch`
+        validates.  Empty batches are a no-op (but still count toward the
+        ``train_every`` schedule, so a quiet time window can trigger a
+        scheduled absorb).
 
         Ingest is **atomic**: the entire batch is checked — column shapes,
         event invariants, stream order — before the WAL or the graph see
         any of it, so a rejected batch leaves the service bitwise
-        unchanged.  The WAL and the graph take the validated batch as it
-        is.  With a WAL configured the validated batch is durably
+        unchanged.  With a WAL configured the validated batch is durably
         logged *before* it is applied; a crash between the two replays the
         batch on recovery instead of losing it.  A background checkpoint
         write that failed since the last call is raised before the batch
@@ -437,13 +431,11 @@ class OnlineService:
 
         Loads the checkpoint (verifying its checksums) with the time scale
         the original service ran under pinned before the model builds its
-        walk engine.  The model is built over the checkpoint's absorbed
-        prefix — the graph its live twin's sampling state was built on —
-        and the unabsorbed tail is then appended as the live service
-        ingested it.  Every counter is restored from the embedded
-        watermark, then every WAL record past the watermark is replayed
-        through the ordinary ingest loop (``train_every`` absorbs fire exactly as they
-        originally did; the restored RNG makes them deterministic).  The
+        walk engine, over the absorbed prefix its live twin sampled from
+        (the unabsorbed tail is appended after), restores every counter
+        from the embedded watermark, then replays every WAL record past
+        the watermark through the ordinary ingest loop (``train_every``
+        absorbs fire exactly as they originally did; the restored RNG makes them deterministic).  The
         result is indistinguishable from a service that never crashed:
         bitwise-equal event table and graph, identical encode answers
         within the precision policy.

@@ -119,8 +119,7 @@ def _encode_record(seq: int, batch: EventBatch) -> bytes:
 
 def _decode_payload(payload: bytes, where: str) -> tuple[int, tuple]:
     """Parse a CRC-verified payload into ``(seq, columns)``; malformed
-    structure is corruption.  The columns are not validated yet (see
-    :func:`_validated`)."""
+    structure is corruption."""
     if len(payload) < _PAYLOAD_PREFIX.size:
         raise WALCorruptionError(f"{where}: payload shorter than its prefix")
     seq, count = _PAYLOAD_PREFIX.unpack_from(payload)
@@ -138,16 +137,6 @@ def _decode_payload(payload: bytes, where: str) -> tuple[int, tuple]:
         )
         offset += count * 8
     return int(seq), tuple(cols)
-
-
-def _validated(seq: int, columns: tuple, where: str) -> WALRecord:
-    """The record of a decoded payload, its events validated: disk bytes
-    are outside input, and a batch that fails the event checks although
-    its CRC holds is corruption."""
-    try:
-        return WALRecord(seq, validate_event_columns(*columns))
-    except ValueError as exc:
-        raise WALCorruptionError(f"{where}: record {seq}: {exc}") from exc
 
 
 class WriteAheadLog:
@@ -214,9 +203,7 @@ class WriteAheadLog:
         for pos, (index, seg_path) in enumerate(segments):
             self._seg_index = max(self._seg_index, index)
             is_last = pos == len(segments) - 1
-            for seq, _, _ in self._read_segment(
-                seg_path, truncate_torn=is_last, start_seq=1
-            ):
+            for seq, _, _ in self._read_segment(seg_path, truncate_torn=is_last):
                 if self._last_seq and seq != self._last_seq + 1:
                     raise WALCorruptionError(
                         f"{seg_path}: record seq {seq} does not follow "
@@ -226,9 +213,9 @@ class WriteAheadLog:
                     self._first_seq = seq
                 self._last_seq = max(self._last_seq, seq)
 
-    def _read_segment(self, seg_path: Path, truncate_torn: bool, start_seq: int):
-        """Yield ``(seq, columns, where)`` for the records of one segment with
-        ``seq >= start_seq``; handle its tail per the crash anatomy.
+    def _read_segment(self, seg_path: Path, truncate_torn: bool):
+        """Yield ``(seq, columns, where)`` for every record of one segment;
+        handle its tail per the crash anatomy.
 
         A short/garbled *tail* on the newest segment is truncated in place
         (``truncate_torn=True``); any anomaly elsewhere raises
@@ -277,9 +264,7 @@ class WriteAheadLog:
                     fh.truncate(offset)
                 return
             where = f"{seg_path} @ {offset}"
-            seq, columns = _decode_payload(payload, where)
-            if seq >= start_seq:
-                yield seq, columns, where
+            yield *_decode_payload(payload, where), where
             offset = body_at + length
 
     def _note_truncation(self, seg_path: Path, offset: int) -> None:
@@ -427,24 +412,27 @@ class WriteAheadLog:
 
         Reads the segment files (flushing the in-flight one first so the
         iterator always observes the log's own appends) and validates each
-        record's events as it is yielded — a record whose events fail the
-        checks raises :class:`WALCorruptionError`.  Torn tails were
+        record's events: disk bytes are outside input, and events that fail
+        the checks under a valid CRC are corruption.  Torn tails were
         already truncated by the opening scan, so any damage found here —
         including a tail torn *after* open, which only an abandoned
         crashed-mid-append handle can leave — raises
         :class:`WALCorruptionError`; reopen the WAL to repair it.
         """
-        for seq, columns, where in self._entries(int(start_seq)):
-            yield _validated(seq, columns, where)
+        for seq, columns, where in self._entries():
+            if seq >= start_seq:
+                try:
+                    batch = validate_event_columns(*columns)
+                except ValueError as exc:
+                    raise WALCorruptionError(f"{where}: {exc}") from exc
+                yield WALRecord(seq, batch)
 
-    def _entries(self, start_seq: int):
-        """:meth:`records` before validation: ``(seq, columns, where)``."""
+    def _entries(self):
+        """Every record as ``(seq, columns, where)``, not yet validated."""
         if self._fh is not None:
             self._fh.flush()
         for _, seg_path in self._segment_files():
-            yield from self._read_segment(
-                seg_path, truncate_torn=False, start_seq=start_seq
-            )
+            yield from self._read_segment(seg_path, truncate_torn=False)
 
     def prune(self, upto_seq: int) -> list[Path]:
         """Delete closed segments whose records are all ``<= upto_seq``.
@@ -468,9 +456,7 @@ class WriteAheadLog:
             if open_path is not None and seg_path == open_path:
                 break
             last_in_segment = 0
-            for seq, _, _ in self._read_segment(
-                seg_path, truncate_torn=False, start_seq=1
-            ):
+            for seq, _, _ in self._read_segment(seg_path, truncate_torn=False):
                 last_in_segment = seq
                 if seq > upto_seq:
                     break
@@ -479,7 +465,7 @@ class WriteAheadLog:
             seg_path.unlink()
             removed.append(seg_path)
         if removed:
-            self._first_seq = next((seq for seq, _, _ in self._entries(1)), None)
+            self._first_seq = next((seq for seq, _, _ in self._entries()), None)
         return removed
 
     # ------------------------------------------------------------------
