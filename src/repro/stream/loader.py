@@ -4,10 +4,11 @@
 columns into an iterator of :class:`~repro.storage.EventBatch` micro-batches,
 split either by **event count** (every batch has ``batch_size`` events,
 except possibly the last) or by **time window** (every batch covers one
-half-open interval ``[lo, lo + window)`` of the timeline).  The two policies differ at
-timestamp ties: count batching slices purely by position, so simultaneous
-events may land in different batches; window batching assigns every event
-with the same timestamp to the same window, always.
+half-open interval ``[lo, lo + window)`` of the timeline).  The two
+policies differ at timestamp ties: count batching slices purely by
+position, so simultaneous events may land in different batches; window
+batching assigns every event with the same timestamp to the same window,
+always.
 
 Construction validates the whole stream once (the batches are slices of
 it, so no consumer checks them again), and the stream must already be

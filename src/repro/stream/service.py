@@ -222,9 +222,9 @@ class OnlineService:
         ``train_every`` schedule, so a quiet time window can trigger a
         scheduled absorb).
 
-        Ingest is **atomic**: the entire batch is checked — column shapes,
-        event invariants, stream order — before the WAL or the graph see
-        any of it, so a rejected batch leaves the service bitwise
+        Ingest is **atomic**: the entire batch is validated — column
+        shapes, event invariants, stream order — before the WAL or the
+        graph see any of it, so a rejected batch leaves the service bitwise
         unchanged.  With a WAL configured the validated batch is durably
         logged *before* it is applied; a crash between the two replays the
         batch on recovery instead of losing it.  A background checkpoint
@@ -435,8 +435,8 @@ class OnlineService:
         (the unabsorbed tail is appended after), restores every counter
         from the embedded watermark, then replays every WAL record past
         the watermark through the ordinary ingest loop (``train_every``
-        absorbs fire exactly as they originally did; the restored RNG makes them deterministic).  The
-        result is indistinguishable from a service that never crashed:
+        absorbs fire exactly as they originally did; the restored RNG
+        makes them deterministic).  The result is indistinguishable from a service that never crashed:
         bitwise-equal event table and graph, identical encode answers
         within the precision policy.
 

@@ -297,11 +297,11 @@ class WriteAheadLog:
         """Durably log one validated event batch; returns its seq.
 
         An :class:`~repro.storage.EventBatch` holds only events the graph
-        accepts, so the log is not checked again here.  ``seq`` (when
-        given) must equal :attr:`next_seq`;
-        a mismatch means the caller's idea of the stream and this directory
-        diverged (e.g. a fresh service pointed at a stale WAL) and raises
-        :class:`WALError` before any bytes are written.
+        accepts, so the log does not check them again.  ``seq`` (when given)
+        must equal :attr:`next_seq`; a mismatch means the caller's idea of
+        the stream and this directory diverged (e.g. a fresh service pointed
+        at a stale WAL) and raises :class:`WALError` before any bytes are
+        written.
         """
         faults.crash_point("wal.append.begin")
         if seq is None:
