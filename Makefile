@@ -38,8 +38,9 @@ test-stream:
 test-faults:
 	$(PY) -m pytest -q -m faults
 
-## Worker-pool suite: every parallel-marked test (real spawn pools), not
-## just the tier-1 smoke subset.
+## Worker-pool suite: every parallel-marked test (real spawn pools of the
+## EHNA shard pool and shared-memory graphs), not just the tier-1 smoke
+## subset.
 test-parallel:
 	$(PY) -m pytest -q -m parallel tests/parallel tests/storage/test_shared.py
 
@@ -74,10 +75,11 @@ bench-streaming:
 bench-scale:
 	$(PY) -m pytest benchmarks/bench_scale.py -q -s -m scale
 
-## Core-scaling benchmark: Hogwild SGNS against serial at 1/2 workers and
-## pooled sharded training at 1/2/4/8 workers, plus a hub-anchored walk
-## row and the sync bitwise-invariance assertion.  Writes
-## benchmarks/results/parallel.txt.  Excluded from tier-1 (scale marker).
+## Core-scaling benchmark: one-epoch EHNA fits on dblp at the default
+## config, 2 shards inline and 2 shards on 2 workers (alternating runs,
+## medians), the pooled-equals-inline bitwise assertion and a hub-anchored
+## walk row.  Writes benchmarks/results/parallel.txt.  Excluded from tier-1
+## (scale marker).
 bench-parallel:
 	$(PY) -m pytest benchmarks/bench_parallel.py -q -s -m scale
 

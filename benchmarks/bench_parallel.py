@@ -1,27 +1,24 @@
-"""Core-scaling benchmark: Hogwild SGNS + sync training over shared memory.
+"""Core-scaling benchmark: EHNA's sync shard pool over shared memory.
 
-Three measurements, written to ``benchmarks/results/parallel.txt``:
+Two measurements, written to ``benchmarks/results/parallel.txt``:
 
-1. **Hogwild SGNS** — ``Node2Vec.fit`` and ``CTDNE.fit`` on dblp with
-   ``num_workers=1`` (the serial skip-gram loop) and ``num_workers=2``
-   (lock-free workers racing on shared weight tables).  Each worker count
-   fits once untimed first; the timed fit covers the whole ``fit`` — walk
-   corpus, pool start-up and training.  Hogwild is not bitwise, so the gate
-   is statistical: the pooled final loss must sit within 5% of the serial one.
-2. **train scaling** — sync data-parallel ``EHNA.fit`` steps/s at 1/2/4/8
-   workers over ``parallel_shards=8``, with the ``num_workers=1`` inline
-   run at the same shards as the bitwise comparator for the pooled loss
-   trajectories.  Every ratio is taken against the default fit (one
-   shard, inline), the fit a pool has to beat.  Each configuration fits
-   once untimed first; a pooled ``fit`` starts its own pool, so the timed
-   fit still pays that start-up.
-3. **hub walks** — single-engine ``temporal_walk_batch`` throughput with
+1. **train** — one-epoch ``EHNA.fit`` on dblp (scale 1.0) three ways: the
+   default fit (one shard, inline), 2 shards inline and 2 shards on 2
+   workers.  Each configuration fits once untimed first; then ``RUNS``
+   rounds time one fit of each, in an order that rotates every round, and
+   the report gives each configuration's median with its ratio against the
+   default fit, the fit a pool has to beat.  A pooled ``fit`` starts its
+   own pool, so its time includes that start-up.  The pooled loss
+   trajectory and embeddings must equal the inline ones at 2 shards
+   bitwise (asserted).
+2. **hub walks** — single-engine ``temporal_walk_batch`` throughput with
    every walk starting at one of the 8 hubs, where the exact O(log d)
    sampler does the same per-hop work as at any other node.
 
-The report states ``os.cpu_count()`` next to the curve: on a single-core
-container the pooled runs measure dispatch overhead, not speedup — the
-numbers are recorded as observed, never extrapolated.
+The report states ``os.cpu_count()`` and the BLAS thread setting next to
+the numbers: on a single-core container the pooled row measures dispatch
+overhead, not speedup, and every worker inherits the BLAS thread setting —
+the numbers are recorded as observed, never extrapolated.
 
 Excluded from tier-1 (``scale`` marker).  Run:  make bench-parallel
 (or  PYTHONPATH=src python -m pytest benchmarks/bench_parallel.py -q -s -m scale)
@@ -35,7 +32,6 @@ import time as _time
 import numpy as np
 import pytest
 
-from repro.baselines import CTDNE, Node2Vec
 from repro.core import EHNA
 from repro.datasets import load
 from repro.graph.temporal_graph import TemporalGraph
@@ -43,10 +39,16 @@ from repro.walks.engine import BatchedWalkEngine
 
 pytestmark = [pytest.mark.scale, pytest.mark.parallel]
 
-WORKER_LADDER = (1, 2, 4, 8)
-
-# Hogwild workload: the dblp generator at its default size.
-HOGWILD_SCALE = 1.0
+# Training workload: the dblp generator at its default size, one epoch of
+# the default EHNA config.
+TRAIN_SCALE = 1.0
+RUNS = 3
+#: Label -> (num_workers, parallel_shards).
+CONFIGS = {
+    "default": (1, 1),
+    "2 shards inline": (1, 2),
+    "2 shards, 2 workers": (2, 2),
+}
 
 # Walk workload: a mid-size graph with a few hub nodes.
 WALK_NODES = 3_000
@@ -54,17 +56,6 @@ WALK_EVENTS = 40_000
 WALK_STARTS = 4_096
 NUM_WALKS = 2
 WALK_LENGTH = 8
-
-# Training workload: small enough that 8 pooled fits stay tractable on one
-# core, large enough that a step does real aggregator work.
-TRAIN_CFG = dict(
-    dim=16,
-    epochs=1,
-    batch_size=32,
-    num_walks=2,
-    walk_length=5,
-    parallel_shards=8,
-)
 
 
 def make_graph(num_nodes: int, num_events: int, hub_fraction: float = 0.3, seed: int = 0):
@@ -83,91 +74,61 @@ def make_graph(num_nodes: int, num_events: int, hub_fraction: float = 0.3, seed:
 def test_core_scaling_curve(save_result):
     cores = os.cpu_count() or 1
     lines = [
-        "Parallel benchmark: Hogwild SGNS + sync data-parallel training",
-        f"machine: os.cpu_count()={cores} — pooled speedups are bounded by "
-        f"physical cores; on {cores} core(s) the ladder below measures "
+        "Parallel benchmark: EHNA sync data-parallel training",
+        f"machine: os.cpu_count()={cores}, OPENBLAS_NUM_THREADS="
+        f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')} — pooled speedups are "
+        f"bounded by physical cores; on {cores} core(s) the pooled row measures "
         + ("real parallelism" if cores >= 2 else "dispatch overhead only"),
         "",
     ]
 
-    # -- 1. Hogwild SGNS vs serial (+ loss parity gate) ---------------
-    dblp = load("dblp", scale=HOGWILD_SCALE, seed=0)
-    lines.append(
-        f"hogwild SGNS: dblp scale {HOGWILD_SCALE} ({dblp.num_nodes:,} nodes, "
-        f"{dblp.num_edges:,} events), whole fit() incl. walk corpus and pool "
-        "start-up (timed after one warm-up fit per worker count)"
-    )
-    lines.append(
-        f"{'method':>8} {'workers':>8} {'time':>10} {'final loss':>11} {'vs serial':>10}"
-    )
-    for method in (Node2Vec, CTDNE):
-        serial = serial_s = None
-        for workers in (1, 2):
-            method(seed=0, num_workers=workers).fit(dblp)  # warm-up
-            model = method(seed=0, num_workers=workers)
-            t0 = _time.perf_counter()
-            model.fit(dblp)
-            elapsed = _time.perf_counter() - t0
-            if serial is None:
-                serial, serial_s = model, elapsed
-            else:
-                # Hogwild races by design: it must learn like serial, not bitwise.
-                assert np.isfinite(model.embeddings()).all()
-                assert abs(model.loss_history[-1] - serial.loss_history[-1]) <= (
-                    0.05 * serial.loss_history[-1]
-                )
-            lines.append(
-                f"{method.__name__:>8} {workers:>8} {elapsed * 1e3:>8.0f}ms "
-                f"{model.loss_history[-1]:>11.4f} {serial_s / elapsed:>9.2f}x"
-            )
-    lines.append("hogwild final loss within 5% of serial: yes (asserted)")
-    lines.append("")
+    # -- 1. default vs 2 shards inline vs 2 shards pooled ---------------
+    dblp = load("dblp", scale=TRAIN_SCALE, seed=0)
 
-    # -- 2. sync training scaling (+ trajectory invariance gate) -------
-    train_graph = make_graph(200, 2_000, seed=3)
-
-    def timed_fit(workers: int, shards: int) -> tuple[EHNA, float]:
-        cfg = dict(TRAIN_CFG, num_workers=workers, parallel_shards=shards)
-        EHNA(seed=7, **cfg).fit(train_graph)  # warm-up
-        model = EHNA(seed=7, **cfg)
+    def fit(label: str) -> tuple[EHNA, float]:
+        workers, shards = CONFIGS[label]
+        model = EHNA(seed=7, epochs=1, num_workers=workers, parallel_shards=shards)
         t0 = _time.perf_counter()
-        model.fit(train_graph)
+        model.fit(dblp)
         return model, _time.perf_counter() - t0
 
-    shards = TRAIN_CFG["parallel_shards"]
-    _, default_s = timed_fit(1, 1)
-    steps = -(-train_graph.num_edges // TRAIN_CFG["batch_size"]) * TRAIN_CFG["epochs"]
+    labels = list(CONFIGS)
+    for label in labels:
+        fit(label)  # warm-up
+    times: dict = {label: [] for label in labels}
+    models: dict = {}
+    for r in range(RUNS):
+        for label in labels[r % len(labels) :] + labels[: r % len(labels)]:
+            models[label], elapsed = fit(label)
+            times[label].append(elapsed)
 
+    # Bitwise: the pooled trajectory equals the inline one at 2 shards.
+    pooled, inline = models["2 shards, 2 workers"], models["2 shards inline"]
+    assert pooled.loss_history == inline.loss_history
+    np.testing.assert_array_equal(pooled.embeddings(), inline.embeddings())
+
+    medians = {label: float(np.median(times[label])) for label in labels}
     lines.append(
-        f"train scaling: sync data-parallel EHNA, {train_graph.num_edges:,} "
-        f"edges, {steps} optimizer steps (timed after one warm-up fit, pool "
-        "start-up included; ratios against the default one-shard inline fit)"
+        f"train: one-epoch EHNA.fit at the default config, dblp scale {TRAIN_SCALE} "
+        f"({dblp.num_nodes:,} nodes, {dblp.num_edges:,} events); {RUNS} alternating "
+        "runs each after one warm-up fit, pool start-up included; medians, ratios "
+        "against the default fit"
     )
     lines.append(
-        f"{'workers':>8} {'shards':>7} {'time':>10} {'steps/s':>12} {'vs default':>11}"
+        f"{'config':>20} {'workers':>8} {'shards':>7} {'median':>9} "
+        f"{'min':>8} {'max':>8} {'vs default':>11}"
     )
-
-    def row(workers, n_shards, elapsed):
+    for label in labels:
+        workers, shards = CONFIGS[label]
         lines.append(
-            f"{workers:>8} {n_shards:>7} {elapsed * 1e3:>8.0f}ms "
-            f"{steps / elapsed:>12.2f} {default_s / elapsed:>10.2f}x"
+            f"{label:>20} {workers:>8} {shards:>7} {medians[label] * 1e3:>7.0f}ms "
+            f"{min(times[label]) * 1e3:>6.0f}ms {max(times[label]) * 1e3:>6.0f}ms "
+            f"{medians['default'] / medians[label]:>10.2f}x"
         )
-
-    row("inline", 1, default_s)
-    inline, inline_s = timed_fit(1, shards)
-    row("inline", shards, inline_s)
-    for workers in WORKER_LADDER[1:]:
-        model, elapsed = timed_fit(workers, shards)
-        # Bitwise: every pooled trajectory equals the inline comparator.
-        assert model.loss_history == inline.loss_history
-        np.testing.assert_array_equal(model.embeddings(), inline.embeddings())
-        row(workers, shards, elapsed)
-    lines.append(
-        f"pooled trajectories bitwise-equal to inline at {shards} shards: yes (asserted)"
-    )
+    lines.append("pooled trajectory bitwise-equal to inline at 2 shards: yes (asserted)")
     lines.append("")
 
-    # -- 3. hub-anchored walks on one engine ---------------------------
+    # -- 2. hub-anchored walks on one engine ---------------------------
     graph = make_graph(WALK_NODES, WALK_EVENTS)
     anchors = np.full(WALK_STARTS, float(graph.time.max()) + 1.0)
     total_walks = WALK_STARTS * NUM_WALKS

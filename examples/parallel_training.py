@@ -1,9 +1,8 @@
-"""Use every core: a shared-memory graph feeding worker pools.
+"""Use every core: a shared-memory graph feeding a worker pool.
 
 Run:  python examples/parallel_training.py
 """
 
-from repro.baselines import Node2Vec
 from repro.core import EHNA
 from repro.datasets import load
 
@@ -21,18 +20,15 @@ def main() -> None:
     # step.  num_workers only picks where a fit runs the shards: inline (1)
     # or on workers attached to the shared graph and parameters (>= 2) —
     # the two give bitwise-equal models.
-    model = EHNA(dim=16, epochs=2, num_workers=2, parallel_shards=8, seed=0)
-    model.fit(graph)
-    print(f"EHNA 8 shards on 2 workers: final loss {model.loss_history[-1]:.4f}")
-
-    # Hogwild for the skip-gram baselines: lock-free workers race on shared
-    # weight tables.  Fastest, but reproducible statistically, not bitwise.
-    n2v = Node2Vec(dim=16, num_walks=3, walk_length=8, seed=0, num_workers=2)
-    n2v.fit(graph)
-    print(f"node2vec hogwild x2 workers: embeddings {n2v.embeddings().shape}")
+    pooled = EHNA(dim=16, epochs=2, num_workers=2, parallel_shards=2, seed=0)
+    pooled.fit(graph)
+    inline = EHNA(dim=16, epochs=2, num_workers=1, parallel_shards=2, seed=0)
+    inline.fit(graph)
+    assert pooled.loss_history == inline.loss_history
+    print(f"EHNA 2 shards on 2 workers: final loss {pooled.loss_history[-1]:.4f} (= inline)")
 
 
-# Worker pools use the spawn start method, which re-imports this module in
+# The pool uses the spawn start method, which re-imports this module in
 # each child — pool-spawning scripts always need the __main__ guard.
 if __name__ == "__main__":
     main()

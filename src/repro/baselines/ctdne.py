@@ -46,7 +46,6 @@ class CTDNE(SGNSCheckpointMixin, EmbeddingMethod):
         lr: float = 0.025,
         seed=None,
         precision: str = "float64",
-        num_workers: int = 1,
     ):
         self.dim = dim
         self.walks_per_node = walks_per_node
@@ -56,9 +55,6 @@ class CTDNE(SGNSCheckpointMixin, EmbeddingMethod):
         self.epochs = epochs
         self.lr = lr
         self.precision = get_precision(precision).name
-        # num_workers >= 2 trains SGNS Hogwild-style over shared tables
-        # (nondeterministic; see repro.parallel.hogwild); 1 stays serial.
-        self.num_workers = num_workers
         self._rng = ensure_rng(seed)
         self.graph: TemporalGraph | None = None
         self._model: SkipGramNS | None = None
@@ -99,7 +95,6 @@ class CTDNE(SGNSCheckpointMixin, EmbeddingMethod):
             epochs=self.epochs,
             callbacks=callbacks,
             name=self.name,
-            num_workers=self.num_workers,
         )
         return self
 
@@ -141,6 +136,5 @@ class CTDNE(SGNSCheckpointMixin, EmbeddingMethod):
             "epochs": self.epochs,
             "lr": self.lr,
             "precision": self.precision,
-            "num_workers": self.num_workers,
         }
 

@@ -48,7 +48,6 @@ class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
         lr: float = 0.025,
         seed=None,
         precision: str = "float64",
-        num_workers: int = 1,
     ):
         self.dim = dim
         self.num_walks = num_walks
@@ -60,12 +59,13 @@ class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
         self.epochs = epochs
         self.lr = lr
         self.precision = get_precision(precision).name
-        # num_workers >= 2 trains SGNS Hogwild-style over shared tables
-        # (nondeterministic; see repro.parallel.hogwild); 1 stays serial.
-        self.num_workers = num_workers
         self._rng = ensure_rng(seed)
         self.graph: TemporalGraph | None = None
         self._model: SkipGramNS | None = None
+
+    def _walks(self, engine: BatchedWalkEngine, starts: np.ndarray) -> list:
+        """One walk per start node, advanced in one lockstep batch."""
+        return engine.node2vec(starts, self.walk_length, self._rng)
 
     def _corpus(self, graph: TemporalGraph) -> list[list[int]]:
         """``num_walks`` rounds of one walk per node in shuffled order (the
@@ -76,7 +76,7 @@ class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
         order = np.arange(graph.num_nodes, dtype=np.int64)
         for _ in range(self.num_walks):
             self._rng.shuffle(order)
-            for w in engine.node2vec(order, self.walk_length, self._rng):
+            for w in self._walks(engine, order):
                 if len(w) > 1:
                     sentences.append(w.nodes)
         return sentences
@@ -102,7 +102,6 @@ class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
             epochs=self.epochs,
             callbacks=callbacks,
             name=self.name,
-            num_workers=self.num_workers,
         )
         return self
 
@@ -110,8 +109,7 @@ class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
         """Walks restarted from every node the fresh edges touched."""
         touched = np.unique(np.concatenate([graph.src[fresh], graph.dst[fresh]]))
         engine = BatchedWalkEngine(graph, p=self.p, q=self.q)
-        starts = np.repeat(touched, self.num_walks)
-        walks = engine.node2vec(starts, self.walk_length, self._rng)
+        walks = self._walks(engine, np.repeat(touched, self.num_walks))
         return [w.nodes for w in walks if len(w) > 1]
 
     def _apply_partial_fit(
@@ -152,8 +150,8 @@ class Node2Vec(SGNSCheckpointMixin, EmbeddingMethod):
             "epochs": self.epochs,
             "lr": self.lr,
             "precision": self.precision,
-            "num_workers": self.num_workers,
         }
+
 
 class DeepWalk(Node2Vec):
     """DeepWalk: uniform walks + SGNS (node2vec with ``p = q = 1``)."""
@@ -165,26 +163,8 @@ class DeepWalk(Node2Vec):
         kwargs.pop("q", None)
         super().__init__(p=1.0, q=1.0, **kwargs)
 
-    def _corpus(self, graph: TemporalGraph) -> list[list[int]]:
-        engine = BatchedWalkEngine(graph)
-        sentences: list[list[int]] = []
-        order = np.arange(graph.num_nodes)
-        for _ in range(self.num_walks):
-            self._rng.shuffle(order)
-            # One walk per engine call: a whole round in one batch would
-            # draw the RNG in another order and so train on other walks.
-            for v in order:
-                walk = engine.uniform(np.array([v]), self.walk_length, self._rng)[0]
-                if len(walk) > 1:
-                    sentences.append(walk.nodes)
-        return sentences
-
-    def _stream_corpus(self, graph: TemporalGraph, fresh: np.ndarray) -> list[list[int]]:
-        touched = np.unique(np.concatenate([graph.src[fresh], graph.dst[fresh]]))
-        engine = BatchedWalkEngine(graph)
-        starts = np.repeat(touched, self.num_walks)
-        walks = engine.uniform(starts, self.walk_length, self._rng)
-        return [w.nodes for w in walks if len(w) > 1]
+    def _walks(self, engine: BatchedWalkEngine, starts: np.ndarray) -> list:
+        return engine.uniform(starts, self.walk_length, self._rng)
 
     def _config_dict(self) -> dict:
         config = super()._config_dict()

@@ -97,9 +97,6 @@ class SkipGramNS:
             noise_weights = np.asarray(noise_weights, dtype=np.float64)
             if noise_weights.shape != (num_nodes,):
                 raise ValueError("noise_weights must have one entry per node")
-        # Kept alongside the alias table so Hogwild workers can rebuild
-        # their own sampler (the packed table itself is not portable).
-        self._noise_weights = np.asarray(noise_weights, dtype=np.float64)
         self._noise = AliasTable(noise_weights)
         self._rng = rng
 
@@ -126,7 +123,6 @@ class SkipGramNS:
         batch_size: int = 64,
         callbacks=(),
         name: str = "SGNS",
-        num_workers: int = 1,
     ) -> list[float]:
         """Train on walk sentences; returns per-epoch mean losses.
 
@@ -134,27 +130,7 @@ class SkipGramNS:
         every epoch re-expands the corpus into freshly shuffled pairs
         (``epoch_items``), so batching stays randomized without a second
         shuffle pass.
-
-        ``num_workers >= 2`` delegates to
-        :func:`repro.parallel.hogwild.hogwild_train_corpus`: the weight
-        tables move to shared memory and that many spawn workers update
-        them lock-free.  Faster on multicore machines but *not* bitwise
-        reproducible (see that module's nondeterminism note);
-        ``num_workers=1`` (default) keeps this serial, deterministic loop.
         """
-        if num_workers != 1:
-            from repro.parallel.hogwild import hogwild_train_corpus
-
-            return hogwild_train_corpus(
-                self,
-                sentences,
-                window=window,
-                epochs=epochs,
-                batch_size=batch_size,
-                num_workers=num_workers,
-                callbacks=callbacks,
-                name=name,
-            )
         current: dict = {}
 
         def epoch_items(epoch, rng):
@@ -196,17 +172,10 @@ class SkipGramNS:
                 [self.w_out, np.zeros((extra, self.dim), dtype=self._real)]
             )
             self.num_nodes = num_nodes
-            if noise_weights is None:
-                # Keep the stored weights vocabulary-sized (new nodes get
-                # unit weight) even when the caller keeps the old table.
-                self._noise_weights = np.concatenate(
-                    [self._noise_weights, np.ones(extra)]
-                )
         if noise_weights is not None:
             noise_weights = np.asarray(noise_weights, dtype=np.float64)
             if noise_weights.shape != (self.num_nodes,):
                 raise ValueError("noise_weights must have one entry per node")
-            self._noise_weights = noise_weights
             self._noise = AliasTable(noise_weights)
 
     def _step(self, centers: np.ndarray, contexts: np.ndarray) -> float:
@@ -267,6 +236,12 @@ class SGNSCheckpointMixin:
     """
 
     _TABLE_KEY = "w_in"
+
+    @classmethod
+    def _from_config(cls, config: dict):
+        # Checkpoints written while these methods could train Hogwild carry
+        # the retired ``num_workers`` key; the loaded model trains serially.
+        return cls(**{k: v for k, v in config.items() if k != "num_workers"})
 
     def _state_dict(self) -> tuple[dict, dict]:
         if self._model is None:

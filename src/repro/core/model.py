@@ -44,9 +44,8 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.nn.dtypes import get_precision
 from repro.nn.layers import BatchNorm1d, Embedding
 from repro.nn.tensor import concat
-from repro.parallel.pool import shard_rng
 from repro.utils.checkpoint import CheckpointError
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, shard_rng
 from repro.walks.engine import BatchedWalkEngine
 
 #: Config keys of the training paths that were folded into one sharded step.

@@ -11,25 +11,40 @@ starts the pool and yields the function the step hands its shards to.
 :class:`~repro.storage.PackHandle`, the parameter segment's handle, and the
 config dict — once, at pool startup; then per shard only ``(edge_ids,
 step_seed, shard_idx)``.  Up: sparse embedding-gradient rows, the dense
-network gradient, the BN logs and the loss.  Parameters never move: workers
-read the leader's live flat vector through the shared segment, so each
-``FlatAdam.step`` is visible to every worker by the next shard.
+network gradient, the BN logs and the loss.  Parameters never move: the
+leader's flat vector lives in a shared segment it steps through a writable
+view (the one shared-write site reprolint PAR001 sanctions), workers read
+the same bytes through read-only views, so each ``FlatAdam.step`` is
+visible to every worker by the next shard.
 
-**Determinism.**  The shard layout, substreams and reduction order are all
-functions of the config — not of the worker count — so a pooled fit is
-bitwise-equal to the same fit with every shard inline (``num_workers=1``).
+**Process model.**  The pool uses the **spawn** start method: the leader
+may hold threaded-BLAS state and live shared-memory mappings that are
+unsafe to fork, so workers import fresh and attach to the segments by
+handle.  Each worker builds its model once, in the pool initializer, and
+keeps it for the pool's lifetime.
+
+**Determinism.**  The shard layout, substreams
+(:func:`repro.utils.rng.shard_rng`) and reduction order are all functions
+of the config — not of the worker count — so a pooled fit is bitwise-equal
+to the same fit with every shard inline (``num_workers=1``).
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro.core.params import FlatParams
 from repro.graph.temporal_graph import TemporalGraph
-from repro.parallel.pool import _WORKER, shard_rng, spawn_pool
-from repro.parallel.state import SharedParams
+from repro.storage.shared import SharedArrayPack
+from repro.utils.rng import shard_rng
+
+#: The worker process's persistent model, set by :func:`_init_train_worker`
+#: (the attached graph and parameter segment stay alive alongside it).
+_WORKER: dict = {}
 
 
 def _init_train_worker(graph_handle, params_handle, config: dict) -> None:
@@ -46,20 +61,15 @@ def _init_train_worker(graph_handle, params_handle, config: dict) -> None:
     graph = TemporalGraph.from_handle(graph_handle)
     model = EHNA(config=EHNAConfig(**config))
     model._build_runtime(graph, rng=np.random.default_rng(0))
-    flat = FlatParams(model._named_parameters())
-    shared = SharedParams.attach(params_handle)
-    flat.rebind(shared.readonly())
+    params = SharedArrayPack.attach(params_handle)
+    FlatParams(model._named_parameters()).rebind(params.array("params"))
     model.aggregator.train()
-    _WORKER["train_graph"] = graph
-    _WORKER["train_model"] = model
-    _WORKER["train_flat"] = flat
-    _WORKER["train_shared"] = shared
+    _WORKER.update(graph=graph, model=model, params=params)
 
 
 def _pool_shard_step(edge_ids: np.ndarray, step_seed: int, shard_idx: int) -> dict:
     """Pool task: run a shard on this worker's persistent model."""
-    model = _WORKER["train_model"]
-    return model._shard_step(edge_ids, shard_rng(step_seed, shard_idx))
+    return _WORKER["model"]._shard_step(edge_ids, shard_rng(step_seed, shard_idx))
 
 
 @contextmanager
@@ -75,15 +85,16 @@ def shard_pool(model, flat: FlatParams, num_workers: int):
     """
     graph = model.graph
     shared_graph = graph if graph.storage_backend == "shared" else graph.to_shared()
-    shared = None
+    params = None
     pool = None
     try:
-        shared = SharedParams.create(flat)
-        flat.rebind(shared.writable())
-        pool = spawn_pool(
-            num_workers,
-            _init_train_worker,
-            (shared_graph.shared_handle, shared.handle, model._config_dict()),
+        params = SharedArrayPack.create({"params": flat.data})
+        flat.rebind(params.array("params", writable=True))
+        pool = ProcessPoolExecutor(
+            max_workers=int(num_workers),
+            mp_context=mp.get_context("spawn"),
+            initializer=_init_train_worker,
+            initargs=(shared_graph.shared_handle, params.handle, model._config_dict()),
         )
 
         def run(shards, step_seed: int) -> list:
@@ -94,10 +105,10 @@ def shard_pool(model, flat: FlatParams, num_workers: int):
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-        if shared is not None:
+        if params is not None:
             # Re-privatize before unlinking: tensors must not keep viewing
             # a segment that is about to disappear.
             flat.rebind(flat.data.copy())
-            shared.close()
+            params.close()
         if shared_graph is not graph:
             shared_graph.storage.close()

@@ -16,17 +16,16 @@ gathers from is the leader's physical memory, mapped read-only.
 Two layers live here:
 
 - :class:`SharedArrayPack` — a generic named bundle of numpy arrays in one
-  segment.  The parallel trainer reuses it for flat parameter vectors and
-  Hogwild weight tables.
+  segment.  The parallel trainer reuses it for the flat parameter vector.
 - :class:`SharedMemoryStorage` — the graph-shaped pack implementing the
   ``GraphStorage`` protocol (``backend = "shared"``), with the derived index
   arrays packed next to the event columns.
 
 **Write discipline.**  Every view handed out is read-only
 (``writeable=False``).  ``array(name, writable=True)`` re-derives write
-access over the same bytes — the escape hatch the Hogwild trainer and the
-leader's parameter steps need — and reprolint rule PAR001 confines such
-calls (and any other writeable-flag flip) to ``repro/parallel``.
+access over the same bytes — the escape hatch the leader's parameter steps
+need — and reprolint rule PAR001 confines such calls (and any other
+writeable-flag flip) to ``repro/parallel``.
 
 **Cleanup.**  The creating process owns the segment: a ``weakref.finalize``
 unlinks it when the pack is garbage collected or the interpreter exits, and
@@ -175,8 +174,8 @@ class SharedArrayPack:
 
         The default view is read-only.  ``writable=True`` re-derives write
         access over the same bytes — only ``repro/parallel`` may do this
-        (reprolint PAR001): the Hogwild weight tables and the leader's
-        parameter vector are the two sanctioned shared-write sites.
+        (reprolint PAR001): the leader's parameter vector is the one
+        sanctioned shared-write site.
         """
         if self.closed:
             raise ValueError(f"shared pack {self._handle.name!r} is closed")

@@ -10,7 +10,7 @@ from repro.utils.checkpoint import (
     save_checkpoint,
 )
 from repro.utils.faults import InjectedCrash
-from repro.utils.rng import ensure_rng, spawn_rng
+from repro.utils.rng import ensure_rng, shard_rng, spawn_rng
 from repro.utils.timers import Timer
 from repro.utils.validation import (
     check_fraction,
@@ -29,6 +29,7 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "ensure_rng",
+    "shard_rng",
     "spawn_rng",
     "Timer",
     "check_fraction",

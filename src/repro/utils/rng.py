@@ -29,6 +29,17 @@ def ensure_rng(seed=None) -> np.random.Generator:
     )
 
 
+def shard_rng(step_seed: int, shard_idx: int) -> np.random.Generator:
+    """The generator of shard ``shard_idx`` of a sharded training step.
+
+    Seeded from ``SeedSequence((step_seed, shard_idx))``, where ``step_seed``
+    is one draw from the model stream per step: shards never share a stream
+    and never consume the model stream beyond that draw, so a shard draws
+    the same values wherever it runs.
+    """
+    return np.random.default_rng(np.random.SeedSequence((int(step_seed), int(shard_idx))))
+
+
 def spawn_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
     """Split ``rng`` into ``count`` independent child generators.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,28 @@ def no_thread_outlives_the_session():
         if thread.is_alive():
             leaked.append(thread.name)
     assert not leaked, f"threads outlived the tests: {leaked}"
+
+
+def _shared_memory_segments() -> set[str]:
+    """Names of the POSIX shared-memory segments ``SharedMemory`` created
+    (``psm_*``) that exist now."""
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_shared_memory_segment_outlives_the_session():
+    """Fail the run if a ``psm_*`` segment exists at its end that did not
+    exist at its start.
+
+    The owner of every shared pack unlinks it on ``close`` (and, as a
+    backstop, when the pack is collected), so a segment still present after
+    the tests is one a code path kept alive or never released.
+    """
+    before = _shared_memory_segments()
+    yield
+    gc.collect()
+    leaked = sorted(_shared_memory_segments() - before)
+    assert not leaked, f"shared-memory segments outlived the tests: {leaked}"
 
 
 @pytest.fixture(autouse=True)

@@ -147,11 +147,16 @@ class TestEHNARoundtrip:
             LINE.load(path)
 
 
+#: The skip-gram baselines and the settings that keep their fits small.
+SGNS_CASES = [
+    (Node2Vec, dict(num_walks=2, walk_length=6, epochs=1)),
+    (DeepWalk, dict(num_walks=2, walk_length=6, epochs=1)),
+    (CTDNE, dict(walks_per_node=2, walk_length=6, epochs=1)),
+]
+
+
 class TestBaselineRoundtrips:
-    @pytest.mark.parametrize("cls,kw", [
-        (Node2Vec, dict(num_walks=2, walk_length=6, epochs=1)),
-        (DeepWalk, dict(num_walks=2, walk_length=6, epochs=1)),
-        (CTDNE, dict(walks_per_node=2, walk_length=6, epochs=1)),
+    @pytest.mark.parametrize("cls,kw", SGNS_CASES + [
         (LINE, dict(samples_per_edge=2)),
         (HTNE, dict(epochs=1)),
     ])
@@ -164,6 +169,34 @@ class TestBaselineRoundtrips:
         np.testing.assert_array_equal(
             loaded.encode([0, 3], at=1.0), model.encode([0, 3], at=1.0)
         )
+
+    @pytest.mark.parametrize("cls,kw", SGNS_CASES)
+    def test_retired_num_workers_loads_and_trains(self, cls, kw, graph, tmp_path):
+        # Checkpoints written while the skip-gram baselines could train
+        # Hogwild carry num_workers in their header; they load and continue
+        # exactly like the archive without it.
+        model = cls(dim=8, seed=0, **kw).fit(graph)
+        path = model.save(tmp_path / "m.npz")
+        retired_path = tmp_path / "retired.npz"
+        _add_config_key(path, retired_path, "num_workers", 2)
+
+        loaded = EmbeddingMethod.load(retired_path)
+        assert type(loaded) is cls
+        assert not hasattr(loaded, "num_workers")
+        np.testing.assert_array_equal(loaded.embeddings(), model.embeddings())
+        plain = EmbeddingMethod.load(path)
+        t_hi = graph.time_span[1]
+        edges = ([0, 1], [5, 6], [t_hi + 1.0, t_hi + 2.0])
+        loaded.partial_fit(edges)
+        plain.partial_fit(edges)
+        assert loaded.loss_history == plain.loss_history
+        np.testing.assert_array_equal(loaded.embeddings(), plain.embeddings())
+
+    def test_only_num_workers_is_retired(self):
+        config = dict(Node2Vec()._config_dict(), num_workers=2)
+        assert Node2Vec._from_config(config)._config_dict() == Node2Vec()._config_dict()
+        with pytest.raises(TypeError, match="walkers"):
+            Node2Vec._from_config(dict(config, walkers=2))
 
     def test_htne_decay_roundtrips(self, graph, tmp_path):
         model = HTNE(dim=8, epochs=1, seed=0).fit(graph)

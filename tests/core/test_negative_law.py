@@ -5,7 +5,8 @@ that hit an endpoint of the positive edge, so each row's law is ``d^0.75``
 renormalized over the nodes that are not its endpoints.  Both alias
 samplers behind it (``AliasTable`` for one distribution,
 ``PackedAliasTables`` for one per CSR segment) must reproduce their
-weights.  Each case compares a fixed seeded sample with the exact law by a
+weights, and the skip-gram baselines draw their noise nodes from ``d^0.75``
+too.  Each case compares a fixed seeded sample with the exact law by a
 chi-square test, in the style of ``tests/walks/test_sampler_law.py``, so
 the verdict is deterministic.
 """
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from repro.baselines import CTDNE, Node2Vec
 from repro.core.negative_sampling import NegativeSampler
 from repro.graph import TemporalGraph
 from repro.utils.alias import AliasTable, PackedAliasTables
@@ -56,6 +58,14 @@ def test_negatives_follow_degree_power_law_without_endpoints(seed, endpoints):
     )
     assert out.shape == (rows, q)
     assert fits(out.ravel(), law)
+
+
+@pytest.mark.parametrize("method", [Node2Vec, CTDNE], ids=lambda c: c.__name__)
+def test_sgns_noise_follows_degree_power_law(method):
+    graph = skewed_graph(0)
+    sgns = method(seed=0)._new_model(graph)
+    draws = sgns._noise.sample(np.random.default_rng(5), size=DRAWS)
+    assert fits(draws, graph.degrees().astype(np.float64) ** 0.75)
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,18 @@ whole-batch trajectory is pinned by ``tests/core/test_training_golden.py``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import EHNA
 from repro.graph.temporal_graph import TemporalGraph
-from repro.parallel import shard_rng, shard_seed_seq
+from repro.utils.rng import shard_rng
 
 CFG = dict(
     dim=8,
@@ -44,7 +50,19 @@ def test_shard_rng_substreams_are_stable_and_distinct():
     c = shard_rng(123, 1).integers(0, 2**31, size=8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert shard_seed_seq(123, 1).entropy == (123, 1)
+    # The scheme the four_shards golden pins: SeedSequence((step_seed, i)).
+    d = np.random.default_rng(np.random.SeedSequence((123, 1))).integers(0, 2**31, size=8)
+    np.testing.assert_array_equal(c, d)
+
+
+def test_core_imports_the_pool_only_for_a_pooled_fit():
+    # A fresh interpreter: this one has imported repro.parallel already.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    code = "import sys, repro.core; print('repro.parallel' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestInlineShardedPath:

@@ -108,15 +108,6 @@ def test_methods_honour_float32_precision(cls):
     assert cls(precision="float32")._precision_name() == "float32"
 
 
-SGNS_METHODS = [c for c in METHODS if c.__name__ in ("Node2Vec", "DeepWalk", "CTDNE")]
-
-
-@pytest.mark.parametrize("cls", SGNS_METHODS, ids=lambda c: c.__name__)
-def test_sgns_methods_store_num_workers(cls):
-    assert len(SGNS_METHODS) == 3
-    assert cls(num_workers=2).num_workers == 2
-
-
 REQUIRED_TASKS = (
     "link_prediction",
     "reconstruction",

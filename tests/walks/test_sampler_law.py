@@ -5,9 +5,9 @@ applies Eq. 2's bias by rejection.  These tests check the *law* it produces
 against a brute-force evaluation of the paper's definition on small random
 graphs: the joint distribution of a walk's first two hops, ``(node, time)``
 pairs or an early stop, is compared with a chi-square test.  The uniform
-walks (DeepWalk, EHNA-RW) and CTDNE's forward walks are checked the same way
-against their own laws.  Each case draws a fixed sample from a seeded
-stream, so the verdict is deterministic.
+walks (DeepWalk, EHNA-RW), CTDNE's forward walks and node2vec's ``p``/``q``
+walks are checked the same way against their own laws.  Each case draws a
+fixed sample from a seeded stream, so the verdict is deterministic.
 """
 
 from __future__ import annotations
@@ -235,4 +235,53 @@ def test_ctdne_law_is_uniform_over_strictly_later_events(graph_seed, position):
     for w in walks:
         later = itertools.chain.from_iterable(zip(w.nodes[2:], w.edge_times[1:]))
         counts[tuple(w.nodes[:2]) + tuple(later) + (STOP if len(w.nodes) < 4 else ())] += 1
+    assert chi_square_pvalue(counts, law) > 1e-3
+
+
+def move_kind(graph, start: int, u: int) -> int:
+    """A second hop's node2vec move after ``start``: 0 returns to it, 1 stays
+    among its neighbors, 2 moves farther out."""
+    return 0 if u == start else 1 if graph.has_edge(start, u) else 2
+
+
+def node2vec_law(graph, start: int, p: float, q: float) -> dict:
+    """The exact law of a node2vec walk's first two hops (Grover &
+    Leskovec, 2016): each hop is proportional to the number of events
+    behind each distinct neighbor, and the second, from ``v`` after
+    ``start``, also weighs its move kind by ``1/p``, ``1`` or ``1/q``."""
+
+    def multiplicity(node) -> Counter:
+        return Counter(int(nb) for nb in graph.incident(node)[0])
+
+    bias = (1.0 / p, 1.0, 1.0 / q)
+    law: dict = {}
+    first = multiplicity(start)
+    for v, mv in first.items():
+        second = {u: m * bias[move_kind(graph, start, u)] for u, m in multiplicity(v).items()}
+        for u, w in second.items():
+            law[(v, u)] = mv / sum(first.values()) * w / sum(second.values())
+    return law
+
+
+def sparse_graph(seed: int) -> TemporalGraph:
+    """Ten nodes, 24 events, repeated pairs and triangles."""
+    rng = np.random.default_rng(seed)
+    n, m = 10, 24
+    src = rng.integers(0, n, m)
+    dst = (src + rng.integers(1, 3, m)) % n  # hops of 1 and 2 close triangles
+    return TemporalGraph.from_edges(src, dst, rng.uniform(0.0, 10.0, m))
+
+
+@pytest.mark.parametrize("graph_seed", [0, 1])
+@pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.25, 2.0), (2.0, 0.25)])
+def test_node2vec_second_hop_follows_the_p_q_law(graph_seed, p, q):
+    graph = sparse_graph(graph_seed)
+    start = int(np.argmax(graph.degrees()))
+    law = node2vec_law(graph, start, p, q)
+    assert sum(law.values()) == pytest.approx(1.0)
+    assert {move_kind(graph, start, u) for _, u in law} == {0, 1, 2}
+    walks = BatchedWalkEngine(graph, p=p, q=q).node2vec(
+        np.full(WALKS, start), 2, np.random.default_rng(graph_seed)
+    )
+    counts = Counter(tuple(w.nodes[1:]) for w in walks)
     assert chi_square_pvalue(counts, law) > 1e-3

@@ -315,8 +315,8 @@ class SharedMutationRule(Rule):
 
     PR10's isolation contract: :class:`~repro.storage.SharedArrayPack`
     hands out *frozen* views (``writeable=False``), and only the
-    sanctioned sites in ``repro/parallel`` (the leader's live parameter
-    view, the Hogwild worker tables) re-derive write access.  A
+    sanctioned site in ``repro/parallel`` (the leader's live parameter
+    view) re-derives write access.  A
     ``writable=True`` call — or a flag flip back to writeable — anywhere
     else lets two processes race on the same buffer with no protocol.
     """
